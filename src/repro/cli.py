@@ -8,7 +8,7 @@ Commands
 ``partition``  partition a mesh into blocks, report cut/balance
 ``transport``  run the S_n transport solve in schedule order
 ``fuzz``       differential fuzzing of every registered scheduler
-``bench``      time the heap/bucket/vector scheduling engines, write JSON
+``bench``      time the heap/vector scheduling engines, write JSON
 ``trace``      run a traced grid and export a Perfetto-loadable timeline
 ``campaign``   resumable declarative sweeps over a sqlite result store
 ``cache``      inspect/clear the content-addressed instance build cache
@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark the heap/bucket/vector list-scheduling engines",
+        help="benchmark the heap/vector list-scheduling engines",
         description=(
-            "Time all three list-scheduling engines on the benchmark families "
+            "Time both list-scheduling engines on the benchmark families "
             "(large/standard mesh, chains, wide layers), cross-check that "
             "they produce identical schedules, and write a schema-"
             "versioned JSON report."

@@ -201,7 +201,6 @@ class Dag:
         "_desc_approx",
         "_succ_lists",
         "_indeg_list",
-        "_padded",
         "_adopted",
     )
 
@@ -232,7 +231,6 @@ class Dag:
         self._desc_approx = None
         self._succ_lists = None
         self._indeg_list = None
-        self._padded = None
         self._adopted = False
         if validate:
             self._validate()
@@ -367,10 +365,10 @@ class Dag:
     def successor_lists(self) -> tuple[list[int], list[int]]:
         """Successor CSR as plain Python lists ``(offsets, targets)``.
 
-        The heap engine and the narrow bucket engine walk edges one at a
-        time in Python; indexing lists is ~3x faster than indexing numpy
-        scalars, and the conversion is worth caching because schedulers
-        run many times per instance (once per seed / per m).
+        The heap engine walks edges one at a time in Python; indexing
+        lists is ~3x faster than indexing numpy scalars, and the
+        conversion is worth caching because schedulers run many times per
+        instance (once per seed / per m).
         """
         if self._succ_lists is None:
             obs.inc("dag.cache.succ_lists.miss")
@@ -387,42 +385,6 @@ class Dag:
             self._note_build()
             self._indeg_list = self.indegree().tolist()
         return self._indeg_list.copy()
-
-    def padded_successors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dense successor matrix for vectorised indegree decrements.
-
-        Returns ``(P, indeg0)`` where ``P`` has shape ``(n, maxdeg)`` with
-        row ``v`` holding the successors of ``v`` padded with the sentinel
-        vertex ``n``, and ``indeg0`` has length ``n + 1`` with a huge
-        sentinel count in slot ``n`` that absorbs decrements from padding
-        without ever reaching zero.  Callers must copy ``indeg0`` before
-        mutating it.
-
-        Returns ``None`` for ragged graphs where the dense matrix would
-        blow up memory (``maxdeg * n`` far beyond the edge count) — the
-        pool engine then falls back to CSR gathers.
-        """
-        if self._padded is None:
-            obs.inc("dag.cache.padded.miss")
-            self._note_build()
-            n = self.n
-            off, tgt = self.successor_csr()
-            deg = np.diff(off)
-            maxdeg = int(deg.max()) if n else 0
-            if maxdeg * n > max(4 * self.num_edges, 64 * n):
-                self._padded = (None,)
-            else:
-                P = np.full((n, max(maxdeg, 1)), n, dtype=np.int64)
-                rows = np.repeat(np.arange(n), deg)
-                cols = np.arange(len(tgt)) - np.repeat(off[:-1], deg)
-                P[rows, cols] = tgt
-                indeg0 = np.empty(n + 1, dtype=np.int64)
-                indeg0[:n] = self.indegree()
-                indeg0[n] = np.int64(1) << 60
-                self._padded = (P, indeg0)
-        else:
-            obs.inc("dag.cache.padded.hit")
-        return None if self._padded[0] is None else self._padded
 
     # ------------------------------------------------------------------
     # memo-cache export / adoption (the shared-memory instance plane)
@@ -463,12 +425,6 @@ class Dag:
             value = getattr(self, slot)
             if value is not None:
                 arrays[key] = value
-        if self._padded is not None:
-            if self._padded[0] is None:
-                scalars["padded_none"] = True
-            else:
-                arrays["padded_P"] = self._padded[0]
-                arrays["padded_indeg0"] = self._padded[1]
         return scalars, arrays
 
     def adopt_caches(
@@ -485,13 +441,10 @@ class Dag:
         cache-entry gap, not a shared-memory warm-up failure.
         """
         for key in scalars:
-            if key not in ("num_levels", "padded_none"):
+            if key != "num_levels":
                 raise InvalidInstanceError(f"unknown cache scalar {key!r}")
         for key in arrays:
-            if key not in self._CACHE_ARRAY_SLOTS and key not in (
-                "padded_P",
-                "padded_indeg0",
-            ):
+            if key not in self._CACHE_ARRAY_SLOTS:
                 raise InvalidInstanceError(f"unknown cache array {key!r}")
         self._adopted = adopted
         if "num_levels" in scalars:
@@ -499,14 +452,6 @@ class Dag:
         for key, slot in self._CACHE_ARRAY_SLOTS.items():
             if key in arrays:
                 setattr(self, slot, arrays[key])
-        if scalars.get("padded_none"):
-            self._padded = (None,)
-        elif "padded_P" in arrays:
-            if "padded_indeg0" not in arrays:
-                raise InvalidInstanceError(
-                    "padded_P requires its companion padded_indeg0"
-                )
-            self._padded = (arrays["padded_P"], arrays["padded_indeg0"])
 
     def roots(self) -> np.ndarray:
         """Vertices with indegree 0 (sources)."""

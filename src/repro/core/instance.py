@@ -170,10 +170,10 @@ class SweepInstance:
         mapping slash-separated keys to numpy arrays — the wire format of
         :class:`repro.parallel.SharedInstanceStore`.  Structural arrays
         (per-direction edges, mesh adjacency) are always included; memo
-        caches (levels, CSR adjacency, b/t-levels, descendant counts, the
-        padded successor matrix) are included exactly when they are
-        already materialised, on the per-direction DAGs and on the union
-        DAG alike.  :meth:`from_arrays` is the zero-copy inverse.
+        caches (levels, CSR adjacency, b/t-levels, descendant counts) are
+        included exactly when they are already materialised, on the
+        per-direction DAGs and on the union DAG alike.
+        :meth:`from_arrays` is the zero-copy inverse.
         """
         meta: dict = {
             "n_cells": self.n_cells,

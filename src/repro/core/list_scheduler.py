@@ -17,26 +17,24 @@ Two interchangeable engines implement both modes:
 
 * ``engine="heap"`` — the reference implementation below: one binary heap
   per processor, ``O(N log N + m * makespan)`` for ``N = n*k`` tasks.
-* ``engine="bucket"`` — :mod:`repro.core.fast_scheduler`: integer bucket
-  keys with a fully-vectorised sorted-pool core on wide instances and
-  per-processor monotone bucket queues on narrow ones.  Bit-identical
-  output (pinned by ``tests/test_engine_equivalence.py``), 1.5–3x faster
-  than the heap on wide wavefronts.
-* ``engine="vector"`` — :mod:`repro.core.vector_scheduler`: the
-  level-synchronous batch kernel.  Whole ready frontiers are processed as
-  sorted packed-code arrays per superstep, with vectorised in-degree
-  decrements and an exact endgame drain that batches the final
-  promotion-free phase in one shot.  Bit-identical output, fastest on
-  very wide shallow instances.
-* ``engine="auto"`` (default) — a batched engine when the priorities are
-  numeric and NaN-free *and* the instance is wide enough for batching to
-  win: vector above an uncapped mean wavefront of
-  :data:`repro.core.vector_scheduler._VECTOR_MIN_WIDTH` tasks per level,
-  bucket above an effective width of
-  :data:`repro.core.fast_scheduler._POOL_MIN_WIDTH` tasks per step, heap
-  otherwise.  Narrow instances stay on the heap because C ``heapq`` beats
-  any pure-Python batching scheme there; object/tuple keys stay on the
-  heap because they need real comparisons.
+* ``engine="vector"`` — :mod:`repro.core.vector_scheduler`: the frontier
+  kernel.  The ready set is one sorted array of packed
+  ``(processor, key, tid)`` codes advanced a whole superstep at a time
+  (group-boundary pops, one CSR gather plus ``np.subtract.at``
+  decrement, one ``searchsorted`` + ``insert`` merge), with an exact
+  endgame drain once every remaining task is ready.  Bit-identical
+  output (pinned by ``tests/test_engine_equivalence.py``), several
+  times faster than the heap on wide wavefronts.
+* ``engine="auto"`` (default) — the frontier kernel when the priorities
+  are numeric and NaN-free *and* the instance is wide enough for
+  batching to win: ``min(processors holding a task, n_tasks // union
+  levels)`` at least :data:`_FRONTIER_MIN_WIDTH` (every one of the
+  ``m`` machines counts in Graham mode), the heap otherwise.  Narrow
+  instances stay on the heap because C ``heapq`` beats numpy call
+  overhead there; object/tuple keys stay on the heap because they need
+  real comparisons.  Each auto decision is counted as
+  ``scheduler.route.{heap,vector}`` and the measured width is a
+  ``width`` arg on the ``schedule.*`` span.
 
 Priorities are *minimised*; callers wanting "higher is better" negate
 their keys.  Ties break deterministically by task id, so results are
@@ -64,48 +62,95 @@ __all__ = [
 ]
 
 #: Valid values of the ``engine`` parameter.
-ENGINES = ("heap", "bucket", "vector", "auto")
+ENGINES = ("heap", "vector", "auto")
+
+#: ``engine="auto"`` runs the frontier kernel at or above this width
+#: (pops per step): below it numpy's per-call overhead (~2us per ufunc)
+#: outweighs the batching and C ``heapq`` wins.  Measured on the
+#: 4000-cell tetonly mesh at k=24 with level priorities: with 32-55
+#: processors holding tasks (random or 64-cell-block assignments) the
+#: heap is faster, from 64 up the kernel.
+_FRONTIER_MIN_WIDTH = 64
 
 
-def resolve_engine(engine: str, priority, inst=None, m=None) -> str:
-    """Map an ``engine`` request to the engine that will actually run.
+def _auto_width(
+    inst: SweepInstance, m: int, assignment: np.ndarray | None
+) -> int:
+    """Mean pops per step the frontier kernel can batch.
 
-    ``"auto"`` picks a batched engine when it can reproduce the heap
-    engine exactly (numeric, NaN-free priorities — see
-    :func:`repro.core.fast_scheduler.bucket_supports`) *and*, when
-    ``inst``/``m`` are given, the instance is wide enough for batching to
-    be faster: the vector engine in the very wide shallow regime
-    (:func:`repro.core.vector_scheduler.vector_preferred`), the bucket
-    engine in the merely wide one
-    (:func:`repro.core.fast_scheduler.bucket_preferred`), the heap
-    otherwise.  An explicit ``"bucket"`` or ``"vector"`` runs that engine
-    on any supported priorities regardless of width, and raises on
-    unsupported ones.
+    ``min(processors holding at least one task, n_tasks // union
+    levels)``; without an assignment (Graham mode) all ``m`` machines
+    count.
     """
+    d = inst.union_dag().num_levels()
+    if d <= 0:
+        return 0
+    procs = m
+    if assignment is not None and inst.n_cells:
+        held = np.bincount(np.asarray(assignment, dtype=np.int64), minlength=m)
+        procs = int(np.count_nonzero(held))
+    return min(procs, inst.n_tasks // d)
+
+
+def _route(
+    engine: str,
+    priority: np.ndarray | None,
+    inst: SweepInstance | None,
+    m: int | None,
+    assignment: np.ndarray | None,
+) -> tuple[str, int | None]:
+    """:func:`resolve_engine` plus the width it measured (``None`` if none)."""
     if engine not in ENGINES:
         raise InvalidScheduleError(
             f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
         )
     if engine == "heap":
-        return "heap"
-    from repro.core.fast_scheduler import bucket_preferred, bucket_supports
+        return "heap", None
+    from repro.core.vector_scheduler import frontier_supports
 
-    if not bucket_supports(priority):
-        if engine in ("bucket", "vector"):
+    if not frontier_supports(priority):
+        if engine == "vector":
             raise InvalidScheduleError(
-                f"{engine} engine requires numeric NaN-free priorities; "
+                "vector engine requires numeric NaN-free priorities; "
                 "use engine='heap' (or 'auto') for non-scalar keys"
             )
-        return "heap"
-    if engine in ("bucket", "vector"):
-        return engine
-    if inst is not None and m is not None:
-        from repro.core.vector_scheduler import vector_preferred
+        return "heap", None
+    if engine == "vector" or inst is None or m is None:
+        return "vector", None
+    width = _auto_width(inst, m, assignment)
+    return ("vector" if width >= _FRONTIER_MIN_WIDTH else "heap"), width
 
-        if vector_preferred(inst, m, priority):
-            return "vector"
-        return "bucket" if bucket_preferred(inst, m, priority) else "heap"
-    return "bucket"
+
+def resolve_engine(
+    engine: str,
+    priority: np.ndarray | None,
+    inst: SweepInstance | None = None,
+    m: int | None = None,
+    assignment: np.ndarray | None = None,
+) -> str:
+    """Map an ``engine`` request to the engine that will actually run.
+
+    ``"auto"`` picks the frontier kernel (``"vector"``) when it can
+    reproduce the heap engine exactly (numeric, NaN-free priorities —
+    see :func:`repro.core.vector_scheduler.frontier_supports`) *and*,
+    when ``inst``/``m`` are given, the width ``min(processors holding a
+    task, n_tasks // union levels)`` reaches :data:`_FRONTIER_MIN_WIDTH`;
+    the heap otherwise.  ``assignment`` (cell → processor) supplies the
+    processors that hold tasks; without it all ``m`` count, as in Graham
+    mode.  An explicit ``"vector"`` runs the kernel on any supported
+    priorities regardless of width, and raises on unsupported ones.
+    """
+    return _route(engine, priority, inst, m, assignment)[0]
+
+
+def _count_route(engine: str, resolved: str) -> None:
+    """Record an ``auto`` routing decision as a ``scheduler.route.*`` counter."""
+    if engine == "auto":
+        obs.inc(
+            "scheduler.route.vector"
+            if resolved == "vector"
+            else "scheduler.route.heap"
+        )
 
 
 def list_schedule(
@@ -132,7 +177,7 @@ def list_schedule(
     meta:
         Provenance stored on the returned :class:`Schedule`.
     engine:
-        ``"heap"``, ``"bucket"``, or ``"auto"`` (see module docs).  Both
+        ``"heap"``, ``"vector"``, or ``"auto"`` (see module docs).  Both
         engines produce bit-identical schedules.
 
     Notes
@@ -156,19 +201,30 @@ def list_schedule(
             raise InvalidScheduleError(
                 f"priority has shape {priority.shape}, expected ({n_tasks},)"
             )
-    resolved = resolve_engine(engine, priority, inst, m)
-    if resolved == "bucket":
-        from repro.core.fast_scheduler import bucket_list_schedule
-
-        return bucket_list_schedule(inst, m, assignment, priority, meta=meta)
+    resolved, width = _route(engine, priority, inst, m, assignment)
+    _count_route(engine, resolved)
     if resolved == "vector":
-        from repro.core.vector_scheduler import vector_list_schedule
+        from repro.core.vector_scheduler import frontier_schedule
 
-        return vector_list_schedule(inst, m, assignment, priority, meta=meta)
+        with obs.span(
+            "schedule.vector",
+            cat="scheduler",
+            args_fn=lambda: {"n_tasks": n_tasks, "m": m, "width": width},
+        ):
+            result = frontier_schedule(inst, m, priority, assignment)
+        if result is not None:
+            return Schedule(
+                instance=inst,
+                m=m,
+                start=result[0],
+                assignment=assignment,
+                meta=dict(meta or {}),
+            )
+        # Packed codes overflowed 62 bits: the heap runs any priority.
     with obs.span(
         "schedule.heap",
         cat="scheduler",
-        args_fn=lambda: {"n_tasks": n_tasks, "m": m},
+        args_fn=lambda: {"n_tasks": n_tasks, "m": m, "width": width},
     ):
         union = inst.union_dag()
         off_l, tgt_l = union.successor_lists()
@@ -260,7 +316,7 @@ def list_schedule_unassigned(
     At every step the ``m`` machines grab the ``m`` smallest-priority ready
     tasks.  Every layer of the resulting step structure has at most ``m``
     tasks — exactly the width-reduction Algorithm 3's preprocessing needs.
-    ``engine`` selects the heap or bucket implementation (bit-identical).
+    ``engine`` selects the heap or vector implementation (bit-identical).
     """
     if m <= 0:
         raise InvalidScheduleError(f"processor count must be positive, got {m}")
@@ -271,19 +327,23 @@ def list_schedule_unassigned(
             raise InvalidScheduleError(
                 f"priority has shape {priority.shape}, expected ({n_tasks},)"
             )
-    resolved = resolve_engine(engine, priority, inst, m)
-    if resolved == "bucket":
-        from repro.core.fast_scheduler import bucket_list_schedule_unassigned
-
-        return bucket_list_schedule_unassigned(inst, m, priority)
+    resolved, width = _route(engine, priority, inst, m, None)
+    _count_route(engine, resolved)
     if resolved == "vector":
-        from repro.core.vector_scheduler import vector_list_schedule_unassigned
+        from repro.core.vector_scheduler import frontier_schedule
 
-        return vector_list_schedule_unassigned(inst, m, priority)
+        with obs.span(
+            "schedule.vector",
+            cat="scheduler",
+            args_fn=lambda: {"n_tasks": n_tasks, "m": m, "width": width},
+        ):
+            result = frontier_schedule(inst, m, priority)
+        if result is not None:
+            return UnassignedSchedule(m=m, start=result[0], machine=result[1])
     with obs.span(
         "schedule.heap_unassigned",
         cat="scheduler",
-        args_fn=lambda: {"n_tasks": n_tasks, "m": m},
+        args_fn=lambda: {"n_tasks": n_tasks, "m": m, "width": width},
     ):
         union = inst.union_dag()
         off_l, tgt_l = union.successor_lists()

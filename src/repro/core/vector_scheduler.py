@@ -1,49 +1,52 @@
-"""Level-synchronous vectorised list-scheduling engine (``engine="vector"``).
+"""Frontier list-scheduling kernel (``engine="vector"``).
 
-The third scheduling engine behind
+The one batched engine behind
 :func:`repro.core.list_scheduler.list_schedule` and
-:func:`~repro.core.list_scheduler.list_schedule_unassigned`.  Where the
-bucket engine (:mod:`repro.core.fast_scheduler`) pops tasks through bucket
-queues or a sorted pool one *step* at a time, this engine treats the whole
-ready frontier as one numpy array per superstep — the BSP view of DAG
-scheduling: supersteps over entire ready frontiers are exactly the right
-granularity to vectorise.
+:func:`~repro.core.list_scheduler.list_schedule_unassigned`; the heap
+engine in :mod:`repro.core.list_scheduler` is the reference and the
+narrow-instance path.  The whole ready frontier lives in one sorted
+``int64`` array of packed ``(processor, key, tid)`` codes (``(key, tid)``
+in Graham mode) and advances one superstep at a time — the BSP view of
+DAG scheduling, where supersteps over entire ready frontiers are the
+right granularity to vectorise.
 
 One superstep of the kernel:
 
-1. **pop** — the frontier is a sorted ``int64`` array of packed
-   ``(processor, key, tid)`` codes (``(key, tid)`` in unassigned mode), so
-   each processor's minimum is the first code of its run: one
-   group-boundary mask pops every processor's task at once (unassigned
-   mode pops the first ``m`` codes instead).
-2. **decrement** — successors of all popped tasks are gathered in one CSR
-   slice-concatenation; ``np.unique(..., return_counts=True)`` folds
-   duplicate edges and same-step sibling completions into a single
-   vectorised in-degree subtraction.  The engine never builds the dense
-   padded successor matrix the pool path uses — a deliberate memory/warm
-   saving for attached workers.
-3. **merge** — newly-ready tasks are packed, sorted, and merged into the
-   remaining frontier with one ``np.searchsorted`` + ``np.insert``.
+1. **pop** — each processor's minimum is the first code of its run in
+   the sorted frontier, so one group-boundary mask pops every
+   processor's task at once (Graham mode pops the first ``m`` codes).
+2. **decrement** — successors of all popped tasks are gathered in one
+   CSR slice-concatenation (:meth:`repro.core.dag.Dag.successor_csr`)
+   and ``np.subtract.at`` decrements once per gathered edge, so
+   duplicate edges and sibling completions in the same superstep fold
+   exactly.
+3. **merge** — newly-ready codes are sorted and deduplicated (a task
+   appears once per predecessor that finished in the superstep) with an
+   adjacent-difference mask, then merged into the remaining frontier
+   with one ``np.searchsorted`` + ``np.insert``.
 
-**Endgame drain batching**: once ``frontier.size == remaining`` every
-unexecuted task is ready, so no promotion can ever happen again and the
-rest of the schedule is a pure drain.  The engine then assigns *all*
-remaining start times in one shot — per-processor rank within the sorted
-frontier (assigned mode) or ``t + i // m`` with machine ``i % m``
-(unassigned mode), i.e. batched machine assignment via cumulative
-position arrays.  This is exact, not an approximation: with no promotions
-pending, list scheduling degenerates to round-robin over each queue in
-``(key, tid)`` order.  On wide shallow instances the drain collapses
-thousands of steps into one superstep.
+**Endgame drain**: once ``frontier.size == remaining`` every unexecuted
+task is ready, so no promotion can happen again and the rest of the
+schedule is a pure drain.  The kernel then assigns *all* remaining start
+times at once — each task's rank within its processor's run (assigned
+mode), or ``t + i // m`` on machine ``i % m`` (Graham mode).  This is
+exact: with no promotions pending, list scheduling degenerates to
+round-robin over each queue in ``(key, tid)`` order.
 
-Output is bit-identical to the heap and bucket engines — same start
-times, same machine numbers, same tie-breaks, same errors — which
+Key handling: integer priorities with a small range are used directly
+(offset by the minimum); anything else numeric is rank compressed through
+``np.unique``, which preserves order and equality and therefore the
+schedule, exactly.  Object (tuple) keys and NaN-bearing floats are left
+to the heap engine, whose comparison semantics they need.
+
+Output is bit-identical to the heap engine — same start times, same
+machine numbers, same tie-breaks, same errors — which
 ``tests/test_engine_equivalence.py`` pins on every fuzz spec family,
 every registry golden, the corpus, and hypothesis-random instances, and
 ``tests/test_engine_mutations.py`` proves by killing the seeded faults
 below.  Callers normally never import this module: they pass
-``engine="vector"`` (or let ``engine="auto"`` route very wide shallow
-instances here) to the public entry points.
+``engine="vector"`` (or let ``engine="auto"`` route wide instances here)
+to the public entry points.
 """
 
 from __future__ import annotations
@@ -51,207 +54,153 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.dag import _gather_csr
-from repro.core.fast_scheduler import _pool_codes, bucket_keys, bucket_supports
 from repro.core.instance import SweepInstance
-from repro.core.schedule import Schedule
 from repro.util.errors import InvalidScheduleError
 
-__all__ = [
-    "vector_list_schedule",
-    "vector_list_schedule_unassigned",
-    "vector_preferred",
-]
+__all__ = ["frontier_supports", "frontier_keys", "frontier_schedule"]
 
-#: ``engine="auto"`` routes to the vector engine only above this mean
-#: uncapped wavefront width (``n_tasks / num_levels``, *not* capped at
-#: ``m`` — on wide instances both the pool and vector kernels pop ``m``
-#: tasks per step, so the capped width cannot separate them; the uncapped
-#: width measures how much of the instance the endgame drain can batch).
-#: Calibrated on the bench families: the wide_layer family (width 8000)
-#: is ~2x faster here than the bucket pool, while mesh_large (width
-#: ~1100) still favours the pool's padded-matrix promotion.
-_VECTOR_MIN_WIDTH = 4000
+#: Integer priorities whose value range exceeds ``_DENSE_SLACK * N + 1024``
+#: go through rank compression instead of a direct offset, so packed keys
+#: never blow up on sparse priorities like ``level * 10**9``.
+_DENSE_SLACK = 4
 
 #: Test-only fault-injection point for the mutation-kill suite
 #: (``tests/test_engine_mutations.py``).  One of ``None`` (production),
 #: ``"frontier_off_by_one"`` (the pop cut loses its last task each
-#: superstep), ``"stale_indegree"`` (duplicate same-step decrements are
-#: folded to one), or ``"unstable_tiebreak"`` (the tid component of the
-#: packed code is inverted, flipping equal-priority tie-breaks).  Arming
-#: any fault disables the endgame drain so the faults always exercise
-#: the superstep loop.  Never set outside tests.
+#: superstep), ``"stale_indegree"`` (duplicate decrements of one target
+#: in a superstep fold to one), ``"unstable_tiebreak"`` (the tid
+#: component of the packed code is inverted, flipping equal-priority
+#: tie-breaks), ``"skip_promotion"`` (all but the first newly-ready task
+#: of a superstep are dropped), or ``"drain_off_by_one"`` (endgame drain
+#: ranks lag one slot from each queue's second task on, so its first two
+#: tasks share a step).  Never set outside tests.
 _MUTATION = None
 
 
-def vector_preferred(inst: SweepInstance, m: int, priority) -> bool:
-    """Should ``engine="auto"`` pick the vector engine here?
+def frontier_supports(priority: np.ndarray | None) -> bool:
+    """Can the frontier kernel reproduce the heap engine on this priority?
 
-    True when the priorities are bucketable (the packed-code kernel needs
-    the same numeric NaN-free keys the bucket engine does) *and* the mean
-    wavefront is at least :data:`_VECTOR_MIN_WIDTH` tasks per level —
-    the wide shallow regime where frontier-at-a-time supersteps and the
-    endgame drain beat the sorted pool's per-step ``np.insert``.
+    ``None`` (uniform) and any real-numeric array without NaN qualify —
+    integer keys pack directly, floats through exact rank compression.
+    Object arrays (tuple keys) and NaN-bearing floats need the heap
+    engine's comparison semantics.
     """
-    if not bucket_supports(priority):
-        return False
-    union = inst.union_dag()
-    d = union.num_levels()
-    if d <= 0:
-        return False
-    return inst.n_tasks // d >= _VECTOR_MIN_WIDTH
+    if priority is None:
+        return True
+    arr = np.asarray(priority)
+    if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
+        return True
+    if np.issubdtype(arr.dtype, np.floating):
+        return not bool(np.isnan(arr).any())
+    return False
+
+
+def frontier_keys(priority: np.ndarray | None, n_tasks: int) -> np.ndarray:
+    """Dense non-negative ``int64`` keys equivalent to ``priority`` ordering.
+
+    Preserves both relative order and equality of the original keys, so a
+    schedule built on the returned keys is bit-identical to one built on
+    the raw priorities.  Raises :class:`InvalidScheduleError` when the
+    priorities are not supported (see :func:`frontier_supports`).
+    """
+    if priority is None:
+        return np.zeros(n_tasks, dtype=np.int64)
+    if not frontier_supports(priority):
+        raise InvalidScheduleError(
+            "vector engine requires numeric NaN-free priorities; "
+            "use engine='heap' for non-scalar keys"
+        )
+    arr = np.asarray(priority)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer):
+        lo = int(arr.min())
+        hi = int(arr.max())
+        if hi - lo <= _DENSE_SLACK * n_tasks + 1024:
+            return arr.astype(np.int64) - lo
+    # Sparse integers and floats: exact rank compression.  np.unique sorts
+    # and deduplicates, so equal keys share a rank and order is preserved.
+    _, inverse = np.unique(arr, return_inverse=True)
+    return inverse.astype(np.int64)
 
 
 def _codes(
-    key: np.ndarray, n_tasks: int, m: int | None
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Packed codes plus decode mask, or ``None`` when 62 bits overflow.
+    key: np.ndarray, proc_of: np.ndarray | None, m: int
+) -> tuple[np.ndarray, int, int] | None:
+    """Packed codes, tid bit width, and processor shift; ``None`` on overflow.
 
-    Returns ``(code_of, tid_of, shift)`` where ``code_of[tid]`` is the
-    packed ``(key, tid)`` code (processor bits are added by the caller in
-    assigned mode) and ``tid_of`` decodes ``code & ((1 << logn) - 1)``
-    back to a task id.  The ``unstable_tiebreak`` fault inverts the tid
-    component symmetrically in both directions, so the mutated engine
-    still emits a *valid* schedule — just with every equal-priority
-    tie-break reversed.
+    ``code[tid] = (proc << shift) | (key << logn) | tid`` must fit a
+    signed int64 (processor bits only in assigned mode).  Wide keys are
+    rank compressed first; if even the compressed key cannot fit, the
+    caller falls back to the heap engine.  The ``unstable_tiebreak``
+    fault stores ``n - 1 - tid`` in the tid bits; the pop decodes it
+    back, so the mutated kernel still emits a *valid* schedule — just
+    with every equal-priority tie-break reversed.
     """
-    packed = _pool_codes(key, n_tasks, m)
+    n_tasks = key.size
+    logn = max(1, (n_tasks - 1).bit_length())
+    logm = max(1, (m - 1).bit_length()) if proc_of is not None else 0
+    kb = max(1, int(key.max()).bit_length()) if n_tasks else 1
+    if logn + kb + logm > 62:
+        _, inverse = np.unique(key, return_inverse=True)
+        key = inverse.astype(np.int64)
+        kb = max(1, int(key.max()).bit_length()) if n_tasks else 1
+        if logn + kb + logm > 62:
+            return None
+    tid = np.arange(n_tasks, dtype=np.int64)
+    if _MUTATION == "unstable_tiebreak":
+        tid = n_tasks - 1 - tid
+    code = (key << logn) | tid
+    shift = logn + kb
+    if proc_of is not None:
+        code |= proc_of << shift
+    return code, logn, shift
+
+
+def frontier_schedule(
+    inst: SweepInstance,
+    m: int,
+    priority: np.ndarray | None,
+    assignment: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Run the frontier kernel; ``(start, machine)`` or ``None`` on overflow.
+
+    With an ``assignment`` (cell → processor) each processor runs its
+    smallest ready ``(key, tid)`` per step and ``machine`` is ``None``;
+    without one, the ``m`` smallest ready tasks run per step (Graham
+    mode) and ``machine[tid]`` is the machine each task ran on.  Callers
+    go through :func:`repro.core.list_scheduler.list_schedule` /
+    ``list_schedule_unassigned``, which validate shapes and fall back to
+    the heap engine when this returns ``None`` (packed codes past 62
+    bits).
+    """
+    n_tasks = inst.n_tasks
+    graham = assignment is None
+    proc_of = None if graham else np.tile(assignment, inst.k)
+    packed = _codes(frontier_keys(priority, n_tasks), proc_of, m)
     if packed is None:
         return None
-    key, logn, kb = packed
-    tid = np.arange(n_tasks, dtype=np.int64)
-    low = n_tasks - 1 - tid if _MUTATION == "unstable_tiebreak" else tid
-    code_of = (key << logn) | low
-    tid_of = np.empty(1 << logn, dtype=np.int64)
-    tid_of[low] = tid
-    return code_of, tid_of, logn + kb
-
-
-def _decrement(
-    indeg: np.ndarray, off: np.ndarray, tgt: np.ndarray, done: np.ndarray
-) -> np.ndarray:
-    """Vectorised in-degree decrement; returns the newly-ready task ids.
-
-    Hybrid of two exact formulations: a dense ``np.bincount`` histogram
-    when the gathered successor batch rivals the vertex count (wide
-    supersteps — O(n) and branch-free beats sorting the batch), and
-    ``np.unique(..., return_counts=True)`` when the batch is sparse.
-    Both fold duplicate edges and same-step sibling completions into one
-    subtraction per target, so the result is identical either way.
-    """
-    succ = _gather_csr(off, tgt, done)
-    if not succ.size:
-        return np.empty(0, dtype=np.int64)
-    if succ.size >= indeg.size // 4:
-        counts = np.bincount(succ, minlength=indeg.size)
-        touched = np.flatnonzero(counts)
-        if _MUTATION == "stale_indegree":
-            indeg[touched] -= 1
-        else:
-            indeg[touched] -= counts[touched]
-        return touched[indeg[touched] == 0]
-    uniq, counts = np.unique(succ, return_counts=True)
-    if _MUTATION == "stale_indegree":
-        indeg[uniq] -= 1
-    else:
-        indeg[uniq] -= counts
-    return uniq[indeg[uniq] == 0]
-
-
-def _merge(rest: np.ndarray, new_codes: np.ndarray) -> np.ndarray:
-    """Merge sorted new codes into the sorted remaining frontier."""
-    if not new_codes.size:
-        return rest
-    return np.insert(rest, np.searchsorted(rest, new_codes), new_codes)
-
-
-def _vector_schedule(
-    inst: SweepInstance,
-    m: int,
-    assignment: np.ndarray,
-    code_of: np.ndarray,
-    tid_of: np.ndarray,
-    shift: int,
-) -> np.ndarray:
-    n_tasks = inst.n_tasks
-    union = inst.union_dag()
-    off, tgt = union.successor_csr()
-    indeg = union.indegree()
-    proc_of = np.tile(np.asarray(assignment, dtype=np.int64), inst.k)
-    gcode_of = (proc_of << shift) | code_of
-    tid_mask = np.int64(tid_of.size - 1)
-
-    frontier = np.sort(gcode_of[np.flatnonzero(indeg == 0)])
-    start = np.full(n_tasks, -1, dtype=np.int64)
-    remaining = n_tasks
-    t = 0
-    supersteps = 0
-    peak = 0
-    first = np.empty(n_tasks, dtype=bool)
+    code_of, logn, shift = packed
+    tid_mask = np.int64((1 << logn) - 1)
     mut = _MUTATION
-    while remaining:
-        r = frontier.size
-        if not r:
-            raise InvalidScheduleError(
-                "no ready task but tasks remain — instance has a cycle"
-            )
-        if r > peak:
-            peak = r
-        supersteps += 1
-        pp = frontier >> shift
-        if r == remaining and mut is None:
-            # Endgame drain: every unexecuted task is ready, so no future
-            # promotion exists and each processor just drains its queue in
-            # (key, tid) order — batch all remaining starts at once.
-            idx = np.arange(r, dtype=np.int64)
-            f = first[:r]
-            f[0] = True
-            np.not_equal(pp[1:], pp[:-1], out=f[1:])
-            rank = idx - np.maximum.accumulate(np.where(f, idx, 0))
-            start[tid_of[frontier & tid_mask]] = t + rank
-            t += int(rank.max()) + 1
-            remaining = 0
-            break
-        f = first[:r]
-        f[0] = True
-        np.not_equal(pp[1:], pp[:-1], out=f[1:])
-        if mut == "frontier_off_by_one":
-            hits = np.flatnonzero(f)
-            if hits.size > 1:
-                f[hits[-1]] = False
-        done = tid_of[frontier[f] & tid_mask]
-        start[done] = t
-        remaining -= done.size
-        newly = _decrement(indeg, off, tgt, done)
-        frontier = _merge(frontier[~f], np.sort(gcode_of[newly]))
-        t += 1
-    obs.inc("scheduler.vector.steps", t)
-    obs.inc("scheduler.vector.supersteps", supersteps)
-    obs.gauge_max("scheduler.vector.peak_frontier", peak)
-    return start
+    flip = n_tasks - 1 if mut == "unstable_tiebreak" else None
 
-
-def _vector_unassigned(
-    inst: SweepInstance,
-    m: int,
-    code_of: np.ndarray,
-    tid_of: np.ndarray,
-    shift: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    n_tasks = inst.n_tasks
     union = inst.union_dag()
     off, tgt = union.successor_csr()
+    lo = off[:-1]
+    deg = np.diff(off)
     indeg = union.indegree()
-    tid_mask = np.int64(tid_of.size - 1)
-
     frontier = np.sort(code_of[np.flatnonzero(indeg == 0)])
     start = np.full(n_tasks, -1, dtype=np.int64)
-    machine = np.full(n_tasks, -1, dtype=np.int64)
+    machine = np.full(n_tasks, -1, dtype=np.int64)  # Graham mode only
+    # first[i] is True iff frontier[i] is the first (= smallest) code of
+    # its processor's run in the sorted frontier.
+    first = np.empty(n_tasks + 1, dtype=bool)
+    first[0] = True
     remaining = n_tasks
     t = 0
     supersteps = 0
     peak = 0
-    mut = _MUTATION
     while remaining:
         r = frontier.size
         if not r:
@@ -261,96 +210,75 @@ def _vector_unassigned(
         if r > peak:
             peak = r
         supersteps += 1
-        if r == remaining and mut is None:
-            # Endgame drain: the m machines round-robin the sorted frontier.
+        if graham:
+            n_exec = min(m, r)
+        else:
+            pp = frontier >> shift
+            f = first[:r]
+            np.not_equal(pp[1:], pp[:-1], out=f[1:])
+        if r == remaining:
+            # Endgame drain: every unexecuted task is ready, so each queue
+            # just drains in (key, tid) order — batch all starts at once.
             idx = np.arange(r, dtype=np.int64)
-            done = tid_of[frontier & tid_mask]
-            start[done] = t + idx // m
-            machine[done] = idx % m
-            t += (r - 1) // m + 1
-            remaining = 0
+            if not graham:
+                idx -= np.maximum.accumulate(np.where(f, idx, 0))
+            if mut == "drain_off_by_one":
+                np.maximum(idx - 1, 0, out=idx)
+            done = frontier & tid_mask
+            if flip is not None:
+                done = flip - done
+            if graham:
+                start[done] = t + idx // m
+                machine[done] = idx % m
+            else:
+                start[done] = t + idx
+            t = int(start[done].max()) + 1
             break
-        n_exec = min(m, r)
-        if mut == "frontier_off_by_one" and n_exec > 1:
-            n_exec -= 1
-        done = tid_of[frontier[:n_exec] & tid_mask]
+        if graham:
+            if mut == "frontier_off_by_one" and n_exec > 1:
+                n_exec -= 1
+            done = frontier[:n_exec] & tid_mask
+            rest = frontier[n_exec:]
+        else:
+            if mut == "frontier_off_by_one":
+                hits = np.flatnonzero(f)
+                if hits.size > 1:
+                    f[hits[-1]] = False
+            done = frontier[f] & tid_mask
+            rest = frontier[~f]
+        if flip is not None:
+            done = flip - done
         start[done] = t
-        machine[done] = np.arange(n_exec, dtype=np.int64)
-        remaining -= n_exec
-        newly = _decrement(indeg, off, tgt, done)
-        frontier = _merge(frontier[n_exec:], np.sort(code_of[newly]))
+        if graham:
+            machine[done] = np.arange(n_exec, dtype=np.int64)
+        remaining -= done.size
+        frontier = rest
         t += 1
+        # CSR gather: the successor slices of every popped task, end to end.
+        lengths = deg[done]
+        ends = np.cumsum(lengths)
+        if not ends[-1]:
+            continue
+        idx = np.repeat(lo[done] - ends + lengths, lengths)
+        idx += np.arange(ends[-1], dtype=np.int64)
+        succ = tgt[idx]
+        if mut == "stale_indegree":
+            indeg[succ] -= 1  # fancy-index assignment folds duplicates
+        else:
+            np.subtract.at(indeg, succ, 1)
+        newly = succ[indeg[succ] == 0]
+        if mut == "skip_promotion":
+            newly = newly[:1]
+        if newly.size:
+            # A task whose predecessors finished together appears once per
+            # finished predecessor: sort, then keep the first of each run.
+            nc = np.sort(code_of[newly])
+            keep = np.empty(nc.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(nc[1:], nc[:-1], out=keep[1:])
+            nc = nc[keep]
+            frontier = np.insert(rest, np.searchsorted(rest, nc), nc)
     obs.inc("scheduler.vector.steps", t)
     obs.inc("scheduler.vector.supersteps", supersteps)
     obs.gauge_max("scheduler.vector.peak_frontier", peak)
-    return start, machine
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-
-
-def vector_list_schedule(
-    inst: SweepInstance,
-    m: int,
-    assignment: np.ndarray,
-    priority: np.ndarray | None = None,
-    meta: dict | None = None,
-) -> Schedule:
-    """Vector-engine twin of :func:`repro.core.list_scheduler.list_schedule`.
-
-    Arguments are identical; output is bit-identical.  Callers should go
-    through ``list_schedule(..., engine="vector")``, which validates the
-    shapes once and dispatches here.  The (astronomically rare) instance
-    whose packed codes exceed 62 bits falls back to the bucket engine,
-    which shares the exact-equivalence contract.
-    """
-    n_tasks = inst.n_tasks
-    key = bucket_keys(priority, n_tasks)
-    packed = _codes(key, n_tasks, m)
-    if packed is None:
-        from repro.core.fast_scheduler import bucket_list_schedule
-
-        return bucket_list_schedule(inst, m, assignment, priority, meta=meta)
-    with obs.span(
-        "schedule.vector",
-        cat="scheduler",
-        args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-    ):
-        start = _vector_schedule(inst, m, assignment, *packed)
-    return Schedule(
-        instance=inst,
-        m=m,
-        start=start,
-        assignment=np.asarray(assignment, dtype=np.int64),
-        meta=dict(meta or {}),
-    )
-
-
-def vector_list_schedule_unassigned(
-    inst: SweepInstance,
-    m: int,
-    priority: np.ndarray | None = None,
-):
-    """Vector-engine twin of ``list_schedule_unassigned`` (Graham mode).
-
-    Pops the ``m`` smallest ``(key, task id)`` codes per superstep in the
-    order the heap engine would, so machine numbers match bit-for-bit.
-    """
-    from repro.core.list_scheduler import UnassignedSchedule
-
-    n_tasks = inst.n_tasks
-    key = bucket_keys(priority, n_tasks)
-    packed = _codes(key, n_tasks, None)
-    if packed is None:
-        from repro.core.fast_scheduler import bucket_list_schedule_unassigned
-
-        return bucket_list_schedule_unassigned(inst, m, priority)
-    with obs.span(
-        "schedule.vector",
-        cat="scheduler",
-        args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-    ):
-        start, machine = _vector_unassigned(inst, m, *packed)
-    return UnassignedSchedule(m=m, start=start, machine=machine)
+    return start, (machine if graham else None)

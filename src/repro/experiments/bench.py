@@ -1,16 +1,18 @@
 """Engine + grid benchmark harness (``repro bench`` / ``scripts/run_bench.py``).
 
-Times the heap, bucket, and vector list-scheduling engines on a fixed
-set of case families, benchmarks the parallel grid dispatcher, and
-writes a schema-versioned JSON report (``BENCH_7.json`` at the repo
-root).  The committed report is the perf-regression baseline: the bucket
-engine must stay at least :data:`TARGET_SPEEDUP` times the heap engine's
-tasks/second on the large mesh family, ``engine="auto"`` must resolve to
-(within 10% of) the fastest engine on every family (the per-case
-``auto_engine`` field pins the routing), and the makespan checksums pin
-that all three engines still produce identical schedules on the
-benchmark cases.  Schema v4 added per-phase wall-clock breakdowns
-(``phases``) to every case and grid run.  Schema v5 times three engines
+Times the heap and vector list-scheduling engines on a fixed set of
+case families, benchmarks the parallel grid dispatcher, and writes a
+schema-versioned JSON report (``BENCH_7.json`` at the repo root).  The
+committed report is the perf-regression baseline: the batched engine
+must stay at least :data:`TARGET_SPEEDUP` times the heap engine's
+tasks/second on the large mesh family (the per-case ``speedup`` field:
+heap/vector wall time — heap/bucket in the committed ``BENCH_7.json``,
+written before the bucket engine was folded into the frontier kernel),
+``engine="auto"`` must resolve to (within 10% of) the fastest engine on
+every family (the per-case ``auto_engine`` field pins the routing), and
+the makespan checksums pin that the engines still produce identical
+schedules on the benchmark cases.  Schema v4 added per-phase wall-clock
+breakdowns (``phases``) to every case and grid run.  Schema v5 times three engines
 per case, slims the timed warm phase to the structural caches every
 engine shares, and gates worker memory: every parallel grid run must
 keep peak worker RSS under :data:`WORKER_RSS_CEILING_MB` and the best
@@ -55,8 +57,8 @@ one-shot — the daemon's reason to exist, gated.
 Engine families
 ---------------
 * ``mesh_large`` — the paper's S4 setting (tetrahedral mesh, k=24) at the
-  top of its processor sweep (m=512).  Wide wavefronts; the bucket
-  engine's sorted-pool path dominates here.  **This is the family the
+  top of its processor sweep (m=512).  Wide wavefronts; the frontier
+  kernel dominates here.  **This is the family the
   ≥1.5x acceptance gate applies to.**
 * ``mesh_standard`` — same mesh at k=8, m=32: the narrow regime where
   ``engine="auto"`` keeps the heap.  Benchmarked so the crossover stays
@@ -135,13 +137,13 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 7
 
 #: Engines every bench case times and cross-checks.
-BENCH_ENGINES = ("heap", "bucket", "vector")
+BENCH_ENGINES = ("heap", "vector")
 
 #: Mesh size when ``REPRO_BENCH_CELLS`` is unset.
 DEFAULT_BENCH_CELLS = 2000
 
-#: Required bucket/heap tasks-per-second ratio on the ``mesh_large``
-#: family (the PR's acceptance gate; measured ~2x on the default size).
+#: Required vector/heap tasks-per-second ratio on the ``mesh_large``
+#: family (measured ~3x on the default size).
 TARGET_SPEEDUP = 1.5
 
 #: Required grid rows/second ratio, 4 workers vs serial — gated on the
@@ -390,9 +392,9 @@ def bench_cases(
 
 def _time_engine(inst, m, assignment, priority, engine, repeats):
     # One untimed warm-up run: the first run on an engine builds that
-    # engine's private caches (heap: Python successor lists, bucket: the
-    # padded successor matrix), so the timed repeats measure scheduling
-    # work alone and the case's ``warm_s`` phase stays structural.
+    # engine's private caches (heap: Python successor lists), so the
+    # timed repeats measure scheduling work alone and the case's
+    # ``warm_s`` phase stays structural.
     schedule = list_schedule(
         inst, m, assignment, priority=priority, engine=engine
     )
@@ -718,9 +720,7 @@ def run_bench(
             priority = delayed_task_layers(inst, delays)
         # Warm only the structural caches shared by every engine (CSR,
         # in-degrees, level structure); engine-private caches are built
-        # by each engine's untimed warm-up run in ``_time_engine``, so
-        # ``warm_s`` no longer charges a padded-matrix build to families
-        # whose winning engine never touches it.
+        # by each engine's untimed warm-up run in ``_time_engine``.
         with Timer() as t_warm:
             union = inst.union_dag()
             union.successor_csr()
@@ -758,9 +758,11 @@ def run_bench(
                 "makespan": int(schedules["heap"].makespan),
                 "checksum": int(zlib.crc32(start.tobytes())),
                 "engines": engines,
-                "auto_engine": resolve_engine("auto", priority, inst, m),
+                "auto_engine": resolve_engine(
+                    "auto", priority, inst, m, assignment
+                ),
                 "speedup": engines["heap"]["wall_time_s"]
-                / max(engines["bucket"]["wall_time_s"], 1e-12),
+                / max(engines["vector"]["wall_time_s"], 1e-12),
                 "phases": {
                     **build_phases,
                     "setup_s": t_setup.elapsed,
@@ -947,10 +949,12 @@ def validate_bench(report: dict) -> list[str]:
             continue
         fam = case["family"]
         families.add(fam)
-        if case["auto_engine"] not in BENCH_ENGINES:
+        # auto must route to an engine this report timed (BENCH_7.json
+        # predates the bucket engine's removal and routes mesh_large there).
+        if case["auto_engine"] not in case["engines"]:
             problems.append(
                 f"case {i} auto_engine is {case['auto_engine']!r}, "
-                f"expected one of {BENCH_ENGINES}"
+                f"expected one of the timed engines {sorted(case['engines'])}"
             )
         problems.extend(
             _validate_phases(

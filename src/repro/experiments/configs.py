@@ -43,7 +43,7 @@ class ExperimentConfig:
         while scheduling randomness varies).
     engine:
         List-scheduling engine forwarded to every algorithm
-        (``"heap"``, ``"bucket"``, or ``"auto"`` — see
+        (``"heap"``, ``"vector"``, or ``"auto"`` — see
         :mod:`repro.core.list_scheduler`).
     workers:
         Default process count for :func:`repro.experiments.runner.run_grid`:

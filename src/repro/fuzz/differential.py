@@ -9,10 +9,9 @@ cross-checks the results three ways:
    consistency, ...);
 2. **determinism** — an identical (instance, seed) pair must produce a
    bit-identical schedule on a second run;
-3. **engine equivalence** — the heap, bucket (both internal paths), and
-   vector list-scheduling engines must produce bit-identical
-   schedules on the case, assigned and unassigned, with and without
-   priorities;
+3. **engine equivalence** — the heap and vector list-scheduling
+   engines must produce bit-identical schedules on the case, assigned
+   and unassigned, with and without priorities;
 4. **cross-engine anomalies** — the minimum makespan over all engines is
    an *upper bound on OPT* (every engine emits a feasible schedule), so
    a "provable" algorithm whose makespan exceeds its proven
@@ -162,15 +161,13 @@ def _check_determinism(
 def _check_engine_equivalence(
     inst: SweepInstance, m: int, seed: int
 ) -> list[Violation]:
-    """Heap vs bucket (both internal paths) vs vector, bit-for-bit.
+    """Heap vs vector, bit-for-bit.
 
     Runs :func:`list_schedule` and :func:`list_schedule_unassigned` on the
-    case with uniform and delayed-level priorities, forcing the bucket
-    engine through both its sorted-pool and bucket-queue paths and the
-    vector engine through its superstep kernel, and reports any
-    deviation from the heap reference.
+    case with uniform and delayed-level priorities, forcing the frontier
+    kernel regardless of width, and reports any deviation from the heap
+    reference.
     """
-    from repro.core import fast_scheduler as fs
     from repro.core.assignment import random_cell_assignment
     from repro.core.list_scheduler import list_schedule, list_schedule_unassigned
     from repro.core.random_delay import delayed_task_layers, draw_delays
@@ -193,51 +190,42 @@ def _check_engine_equivalence(
                 )
             )
             continue
-        for label, engine, path in (
-            ("bucket[bucket]", "bucket", "bucket"),
-            ("bucket[pool]", "bucket", "pool"),
-            ("vector", "vector", None),
+        try:
+            got = list_schedule(
+                inst, m, assignment, priority=prio, engine="vector"
+            )
+            ugot = list_schedule_unassigned(
+                inst, m, priority=prio, engine="vector"
+            )
+        except Exception as exc:  # noqa: BLE001
+            out.append(
+                Violation(
+                    "engine_equivalence", "vector",
+                    f"crash on {pname} priorities: "
+                    f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        if not np.array_equal(got.start, ref.start):
+            out.append(
+                Violation(
+                    "engine_equivalence", "vector",
+                    f"assigned schedule differs from heap on {pname} "
+                    f"priorities (makespans {got.makespan} vs "
+                    f"{ref.makespan})",
+                )
+            )
+        if not np.array_equal(ugot.start, uref.start) or not np.array_equal(
+            ugot.machine, uref.machine
         ):
-            saved = fs._FORCE_PATH
-            fs._FORCE_PATH = path
-            try:
-                got = list_schedule(
-                    inst, m, assignment, priority=prio, engine=engine
+            out.append(
+                Violation(
+                    "engine_equivalence", "vector",
+                    f"unassigned schedule differs from heap on {pname} "
+                    f"priorities (makespans {ugot.makespan} vs "
+                    f"{uref.makespan})",
                 )
-                ugot = list_schedule_unassigned(
-                    inst, m, priority=prio, engine=engine
-                )
-            except Exception as exc:  # noqa: BLE001
-                out.append(
-                    Violation(
-                        "engine_equivalence", label,
-                        f"crash on {pname} priorities: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            finally:
-                fs._FORCE_PATH = saved
-            if not np.array_equal(got.start, ref.start):
-                out.append(
-                    Violation(
-                        "engine_equivalence", label,
-                        f"assigned schedule differs from heap on {pname} "
-                        f"priorities (makespans {got.makespan} vs "
-                        f"{ref.makespan})",
-                    )
-                )
-            if not np.array_equal(ugot.start, uref.start) or not np.array_equal(
-                ugot.machine, uref.machine
-            ):
-                out.append(
-                    Violation(
-                        "engine_equivalence", label,
-                        f"unassigned schedule differs from heap on {pname} "
-                        f"priorities (makespans {ugot.makespan} vs "
-                        f"{uref.makespan})",
-                    )
-                )
+            )
     return out
 
 

@@ -22,10 +22,10 @@ Path-scoped rules (RPL004/RPL005) key off the file's location inside the
 so a fixture can pin its *virtual* location with a first-lines
 directive::
 
-    # repro-lint-fixture: path=core/fast_scheduler.py
+    # repro-lint-fixture: path=core/vector_scheduler.py
 
 which makes ``repro lint tests/lint_fixtures/RPL005_bad.py`` behave as
-if the file sat at ``src/repro/core/fast_scheduler.py``.
+if the file sat at ``src/repro/core/vector_scheduler.py``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 CSR offset arrays, edge lists, processor assignments, and block
 labellings are *index* data: they are compared, packed into bit fields
-(the sorted-pool engine shifts them into int64 codes), written into
+(the frontier kernel shifts them into int64 codes), written into
 shared-memory segments with a fixed wire format, and round-tripped
 through JSON.  An implicit ``np.array(...)`` on such data inherits
 whatever dtype the caller happened to hold — ``int32`` from a platform

@@ -1,6 +1,6 @@
 """RPL002 — engine parity.
 
-The heap and bucket list-scheduling engines are bit-identical by
+The heap and vector list-scheduling engines are bit-identical by
 contract (``tests/test_engine_equivalence.py``), but that guarantee only
 reaches the caller if the ``engine`` selector actually *arrives* at the
 scheduling core.  A function that accepts ``engine=`` and then calls
@@ -12,8 +12,8 @@ be caught structurally:
 
 **Any function with an ``engine`` parameter must pass ``engine=engine``
 to every scheduling call in its body.**  Scheduling calls are the core
-entry points (``list_schedule``, ``list_schedule_unassigned``, their
-bucket twins, ``run_cell_on``) plus calls through a registry algorithm
+entry points (``list_schedule``, ``list_schedule_unassigned``,
+``run_cell_on``) plus calls through a registry algorithm
 (a local name bound from ``get_algorithm(...)`` or ``ALGORITHMS[...]``).
 
 Functions that accept ``engine`` for signature uniformity but never run
@@ -30,9 +30,9 @@ from repro.lint.rules.base import Diagnostic, FileContext, Rule, register
 __all__ = ["EngineParityRule"]
 
 #: Callee names (last dotted segment) that accept an ``engine`` kwarg.
-#: The bucket twins (``bucket_list_schedule*``) are deliberately absent:
-#: they *are* the bucket engine, reached only after ``resolve_engine``
-#: has consumed the selector, and they take no ``engine`` parameter.
+#: The frontier kernel (``frontier_schedule``) is deliberately absent: it
+#: *is* the vector engine, reached only after ``resolve_engine`` has
+#: consumed the selector, and it takes no ``engine`` parameter.
 _SCHEDULING_CALLS = frozenset({
     "list_schedule",
     "list_schedule_unassigned",

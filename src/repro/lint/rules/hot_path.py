@@ -1,14 +1,14 @@
 """RPL005 — hot-path hygiene.
 
-``fast_scheduler.py``, ``list_scheduler.py``, and
+``vector_scheduler.py``, ``list_scheduler.py``, and
 ``parallel/dispatcher.py`` are the three files the benchmark baseline
-(``BENCH_4.json``) times; a single accidentally-quadratic idiom there
-erases the engine's measured 2x headroom long before any test fails.
+times; a single accidentally-quadratic idiom there erases the engine's
+measured headroom long before any test fails.
 Three APIs are banned in those files because each hides an O(n) copy or
 shift inside an innocent-looking call:
 
 * ``np.append`` — reallocates and copies the whole array per call (the
-  sorted-pool engine's one batched ``np.insert`` per *step* is the
+  frontier kernel's one batched ``np.insert`` per *superstep* is the
   sanctioned pattern);
 * ``list.insert(0, ...)`` — shifts every element; use ``append`` plus a
   final ``reverse``, or ``collections.deque``;
@@ -38,7 +38,7 @@ __all__ = ["HotPathRule"]
 
 #: Basenames of the benchmarked hot-path files.
 _HOT_FILES = frozenset({
-    "fast_scheduler.py",
+    "vector_scheduler.py",
     "list_scheduler.py",
     "dispatcher.py",
 })

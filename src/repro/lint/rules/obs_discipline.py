@@ -39,7 +39,7 @@ _CLOCK_EXEMPT_DIRS = ("obs/",)
 
 #: Basenames of hot-path files where span annotations must be lazy.
 _HOT_FILES = frozenset({
-    "fast_scheduler.py",
+    "vector_scheduler.py",
     "list_scheduler.py",
     "dispatcher.py",
     "worker.py",

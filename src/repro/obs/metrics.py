@@ -1,15 +1,16 @@
 """Counters/gauges registry riding the same enable switch as the tracer.
 
-Metrics answer the questions spans are too coarse for: how many bucket
-rotations a schedule took, how often the Dag memo caches hit, how large
-the ready pool peaked.  Counters accumulate by summation; gauges keep a
-high-water mark (``gauge_max``) or the last written value (``gauge``).
+Metrics answer the questions spans are too coarse for: how many
+supersteps a schedule took, how often the Dag memo caches hit, how large
+the ready frontier peaked.  Counters accumulate by summation; gauges
+keep a high-water mark (``gauge_max``) or the last written value
+(``gauge``).
 
 Everything is gated on :func:`repro.obs.tracer.tracing_enabled`, so an
 ``inc`` in a scheduler loop costs one boolean check when observability
 is off.  Metric names must be constant strings at hot call sites — no
 f-strings (RPL006); use dotted namespaces like
-``"scheduler.bucket.rotations"``.
+``"scheduler.vector.supersteps"``.
 """
 
 from __future__ import annotations

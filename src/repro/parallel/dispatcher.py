@@ -252,7 +252,7 @@ def run_dispatch(
     ):
         inst = get_instance(config)
         with obs.span("grid.warm", cat="parallel"), Timer() as t_warm:
-            warm_instance(inst, config.algorithms, engine=config.engine)
+            warm_instance(inst, config.algorithms)
             blocks = {
                 size: get_blocks(config, size)
                 for size in config.block_sizes

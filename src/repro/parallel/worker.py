@@ -5,8 +5,8 @@ plus :func:`warm_instance` — the parent-side cache warm-up that decides
 which :class:`~repro.core.dag.Dag` memo caches get materialised before
 the instance is published to shared memory.  Workers attach zero-copy and
 inherit exactly those caches, so the expensive per-instance
-precomputations (union CSR, padded successor matrix, level structure,
-b-levels, descendant counts) happen once per grid instead of once per
+precomputations (union CSR, level structure, b-levels, descendant
+counts) happen once per grid instead of once per
 worker.
 """
 
@@ -24,32 +24,25 @@ if TYPE_CHECKING:  # annotation-only imports; runtime imports stay lazy
 __all__ = ["warm_instance", "init_worker", "run_chunk"]
 
 
-def warm_instance(
-    inst: "SweepInstance",
-    algorithms: Iterable[str] = (),
-    engine: str = "auto",
-) -> None:
+def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None:
     """Materialise the memo caches the given workload will need.
 
     Always warmed (every list-scheduling engine touches them): the union
     DAG, its successor CSR, indegree/outdegree, and level structure, plus
     the per-direction levels behind ``task_levels`` (the priority basis
-    of the random-delay family).  Warmed per engine: the dense padded
-    successor matrix only when the bucket engine's sorted pool can run
-    (``engine`` in ``("bucket", "auto")``) — the heap and vector engines
-    never touch it, and on wide shallow instances its build dwarfs the
-    structural warm.  Warmed on demand: per-direction descendant counts
+    of the random-delay family) — everything the frontier kernel reads.
+    Warmed on demand: per-direction descendant counts
     (``descendant*``), b-levels and successor CSR (``dfds*`` /
     ``blevel*``).  T-levels are supported by the cache wire format but
     warmed only here if an algorithm family starts using them — nothing
     in the registry does today.
 
     Everything warmed here ships to attached workers through the
-    shared-memory cache wire format, so a worker running the same engine
-    performs zero cache rebuilds (``dag.cache.rebuild`` stays 0 — pinned
-    by ``tests/test_parallel_rss.py`` for the vector engine, whose caches
-    are all numpy arrays; the heap engine's Python-list conversions are
-    per-process by nature).
+    shared-memory cache wire format, so a worker running the frontier
+    kernel performs zero cache rebuilds (``dag.cache.rebuild`` stays 0 —
+    pinned by ``tests/test_parallel_rss.py`` for the vector engine, whose
+    caches are all numpy arrays; the heap engine's Python-list
+    conversions are per-process by nature).
     """
     union = inst.union_dag()
     union.successor_csr()
@@ -57,8 +50,6 @@ def warm_instance(
     union.outdegree()
     union.num_levels()
     union.topological_order()
-    if engine in ("bucket", "auto"):
-        union.padded_successors()
     inst.task_levels()
     for g in inst.dags:
         g.num_levels()

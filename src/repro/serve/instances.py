@@ -395,8 +395,8 @@ def _load_or_build_arrays(
     On a hit the arrays are published as-is (no Dag rehydration).  On a
     miss the build goes through the memoised runner chokepoint — which
     also seeds the disk cache when enabled — and the live instance is
-    warmed for ``algorithms``/``engine`` so attached workers inherit the
-    expensive memo caches.
+    warmed for ``algorithms`` so attached workers inherit the expensive
+    memo caches.
     """
     from repro import cache as build_cache
 
@@ -409,7 +409,7 @@ def _load_or_build_arrays(
     from repro.parallel.worker import warm_instance
 
     inst = runner.get_instance(spec.config(engine=engine))
-    warm_instance(inst, algorithms, engine=engine)
+    warm_instance(inst, algorithms)
     return inst.export_arrays()
 
 

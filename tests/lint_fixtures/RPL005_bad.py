@@ -1,4 +1,4 @@
-# repro-lint-fixture: path=core/fast_scheduler.py
+# repro-lint-fixture: path=core/vector_scheduler.py
 # Known-bad fixture for RPL005 (hot-path hygiene): all three banned
 # idioms, inside a file the directive places on the benchmarked hot
 # path.

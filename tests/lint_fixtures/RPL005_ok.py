@@ -1,4 +1,4 @@
-# repro-lint-fixture: path=core/fast_scheduler.py
+# repro-lint-fixture: path=core/vector_scheduler.py
 # Near-miss fixture for RPL005 (hot-path hygiene): nothing here may be
 # flagged, even on the (virtual) hot path.
 import numpy as np

@@ -1,4 +1,4 @@
-# repro-lint-fixture: path=core/fast_scheduler.py
+# repro-lint-fixture: path=core/vector_scheduler.py
 # Known-bad fixture for RPL006 (obs-discipline): raw clock reads outside
 # the timing chokepoint, plus eager span annotations in a file the
 # directive places on the benchmarked hot path.

@@ -1,4 +1,4 @@
-# repro-lint-fixture: path=core/fast_scheduler.py
+# repro-lint-fixture: path=core/vector_scheduler.py
 # Near-miss fixture for RPL006 (obs-discipline): nothing here may be
 # flagged, even on the (virtual) hot path.
 from repro.obs import span

@@ -1,17 +1,17 @@
 """Smoke test for the benchmark harness (``repro bench --smoke``).
 
 Runs the real harness end to end on a tiny mesh and validates the
-schema-v7 report (three engine timings per family, per-phase timing
+schema-v7 report (heap and vector engine timings per family, per-phase timing
 breakdowns with the v6 mesh/build/cache construction split, the
 parallel grid section, the cold-vs-warm ``construction`` row, and the
 v7 ``serve`` section racing the resident daemon against cold process
 startup), so CI catches a broken benchmark (or a drifted schema)
 without paying for the full ``BENCH_7.json`` regeneration.  The
 committed-baseline tests at the bottom are the perf-regression gates:
-bucket's mesh_large speedup, the structural-only warm on wide_layer,
-the worker RSS ceiling, the (cpu-gated) absolute grid throughput
-target, the v6 frozen-v5 setup/checksum/warm-construction gates, and
-the v7 warm-serve latency gate.  Marked ``bench_smoke`` so CI can also
+the batched engine's mesh_large speedup, the structural-only warm on
+wide_layer, the worker RSS ceiling, the (cpu-gated) absolute grid
+throughput target, the v6 frozen-v5 setup/checksum/warm-construction
+gates, and the v7 warm-serve latency gate.  Marked ``bench_smoke`` so CI can also
 run it as a dedicated step:
 
     python -m pytest -q -m bench_smoke
@@ -317,7 +317,7 @@ def test_committed_baseline_auto_picks_winner(baseline):
     The regression contract from the crossover recalibration: on each
     committed bench family, the engine auto resolves to must be within
     10% of the faster engine's wall time.  A drifted width threshold
-    (``_POOL_MIN_WIDTH``) or a changed cost profile shows up here.
+    (``_FRONTIER_MIN_WIDTH``) or a changed cost profile shows up here.
     """
     for case in baseline["cases"]:
         engines = case["engines"]
@@ -334,7 +334,12 @@ def test_committed_baseline_auto_picks_winner(baseline):
 
 
 def test_committed_baseline_bucket_speedup(baseline):
-    """The bucket engine keeps its mesh_large win (the PR 2 gate)."""
+    """The batched engine keeps its mesh_large win over the heap.
+
+    The committed ``BENCH_7.json`` records heap/bucket; reports written
+    since the bucket engine was folded into the frontier kernel record
+    heap/vector in the same ``speedup`` field.
+    """
     large = next(c for c in baseline["cases"] if c["family"] == "mesh_large")
     assert large["speedup"] >= TARGET_SPEEDUP
 
@@ -379,8 +384,9 @@ def test_committed_baseline_worker_rss_ceiling(baseline):
 def test_committed_baseline_wide_layer_warm_is_structural(baseline):
     """The wide_layer warm phase stays under a second.
 
-    Schema v4 charged a padded-matrix build plus an ``np.subtract.at``
-    level sweep to this family's warm (6.77 s committed); v5's warm is
+    Schema v4 charged a dense successor-matrix build plus an
+    ``np.subtract.at`` level sweep to this family's warm (6.77 s
+    committed); v5's warm is
     the structural trio (CSR, in-degrees, hybrid-decrement levels) and
     must stay two orders of magnitude below that.
     """

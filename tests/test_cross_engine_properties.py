@@ -5,8 +5,8 @@ quality (the standard engine, the timed engine, the exact oracle) and
 two independent feasibility oracles (the validator, the transport
 sweep).  These properties tie them together on random instances — the
 strongest internal-consistency net the library can cast.  The last
-class closes the net over the three list-scheduling engine
-implementations (heap, bucket, vector): identical makespans,
+class closes the net over the list-scheduling engine
+implementations (heap, vector): identical makespans,
 assignments, and CRC-32 start checksums on hypothesis-random instances.
 """
 
@@ -88,16 +88,16 @@ class TestTimedGantt:
 
 
 class TestThreeEngineChecksums:
-    """heap == bucket == vector, summarised three independent ways.
+    """heap == vector, summarised three independent ways.
 
     The equivalence suite compares start arrays elementwise; these
     properties pin the *derived* quantities every consumer actually
     reads — makespan, the echoed assignment, and the CRC-32 start
-    checksum the bench report commits — across all three engines on
+    checksum the bench report commits — across both engines on
     hypothesis-random instances, assigned and unassigned mode alike.
     """
 
-    ENGINES = ("heap", "bucket", "vector")
+    ENGINES = ("heap", "vector")
 
     @staticmethod
     def _crc(arr):

@@ -306,33 +306,3 @@ class TestMemoization:
         assert a == [0, 1, 1]
         a[0] = 99
         assert g.indegree_list() == [0, 1, 1]
-
-    def test_padded_successors_shape_and_sentinel(self):
-        g = Dag.from_edge_list(4, [(0, 1), (0, 2), (2, 3)])
-        padded = g.padded_successors()
-        assert padded is not None
-        P, indeg0 = padded
-        assert P.shape == (4, 2)
-        # Sentinel column entries point at the extra vertex n.
-        assert P[1, 0] == 4 and P[1, 1] == 4
-        assert indeg0.shape == (5,)
-        assert indeg0[4] >= np.int64(1) << 60
-        assert list(indeg0[:4]) == [0, 1, 1, 1]
-        assert g.padded_successors() is padded  # cached
-
-    def test_padded_successors_declines_ragged_graphs(self):
-        # One hub with n-1 successors alongside many isolated vertices:
-        # maxdeg * n blows past the density guard, so the padded matrix
-        # is refused and the pool promotion falls back to CSR gathers.
-        n = 600
-        g = Dag.from_edge_list(n, [(0, v) for v in range(1, 101)])
-        assert g.padded_successors() is None
-        assert g.padded_successors() is None  # the refusal is cached too
-
-    def test_edgeless_graph_padded(self):
-        g = Dag(3, [])
-        padded = g.padded_successors()
-        assert padded is not None
-        P, indeg0 = padded
-        assert P.shape[0] == 3
-        assert list(indeg0[:3]) == [0, 0, 0]

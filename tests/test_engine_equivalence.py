@@ -1,8 +1,7 @@
-"""Cross-engine equivalence: heap vs bucket vs vector, bit for bit.
+"""Cross-engine equivalence: heap vs vector, bit for bit.
 
-The headline guarantee of the batched engines
-(:mod:`repro.core.fast_scheduler` and
-:mod:`repro.core.vector_scheduler`) is that they are pure optimisations:
+The headline guarantee of the frontier kernel
+(:mod:`repro.core.vector_scheduler`) is that it is a pure optimisation:
 same start times, same machine numbers, same tie-breaks, same errors as
 the heap engine, on every input.  This suite pins that guarantee on
 
@@ -11,10 +10,8 @@ the heap engine, on every input.  This suite pins that guarantee on
 * every persisted fuzz-corpus entry,
 * random hypothesis instances,
 
-always exercising *both* internal bucket-engine paths (the vectorised
-sorted pool and the narrow bucket queues) via the ``_FORCE_PATH`` test
-hook and the vector engine's superstep kernel, so the ``auto`` width
-heuristic can never hide a broken path.  Start arrays are compared both
+always forcing ``engine="vector"`` so the ``auto`` width rule can never
+hide a broken kernel on narrow inputs.  Start arrays are compared both
 elementwise and by CRC-32 checksum — the same digest the bench report
 commits — so a checksum scheme that ever diverged from the arrays would
 be caught here first.
@@ -28,14 +25,12 @@ oracle-clean.
 
 import json
 import zlib
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.fast_scheduler as fs
 from repro.core.assignment import random_cell_assignment
 from repro.core.list_scheduler import list_schedule, list_schedule_unassigned
 from repro.core.random_delay import delayed_task_layers, draw_delays
@@ -46,61 +41,28 @@ from repro.util.rng import as_rng
 
 from .strategies import sweep_instances
 
-PATHS = ("bucket", "pool")
-
-
-@contextmanager
-def force_path(path):
-    saved = fs._FORCE_PATH
-    fs._FORCE_PATH = path
-    try:
-        yield
-    finally:
-        fs._FORCE_PATH = saved
-
-
 def start_checksum(schedule):
     """The bench report's schedule digest: CRC-32 of the start array."""
     start = np.ascontiguousarray(schedule.start, dtype=np.int64)
     return zlib.crc32(start.tobytes())
 
 
-def engine_variants():
-    """Every (label, engine, forced path) combination the suite runs."""
-    yield "bucket[bucket]", "bucket", "bucket"
-    yield "bucket[pool]", "bucket", "pool"
-    yield "vector", "vector", None
-
-
 def assert_engines_match(inst, m, assignment, priority, label=""):
-    """Heap vs bucket (both paths) vs vector, assigned and unassigned.
+    """Heap vs vector, assigned and unassigned.
 
     Asserts identical start arrays, assignments, machine numbers,
-    makespans, and CRC-32 start checksums for every engine variant.
+    makespans, and CRC-32 start checksums.
     """
     ref = list_schedule(inst, m, assignment, priority=priority, engine="heap")
     uref = list_schedule_unassigned(inst, m, priority=priority, engine="heap")
-    for vlabel, engine, path in engine_variants():
-        with force_path(path):
-            got = list_schedule(
-                inst, m, assignment, priority=priority, engine=engine
-            )
-            ugot = list_schedule_unassigned(
-                inst, m, priority=priority, engine=engine
-            )
-        where = f"{label} [{vlabel}]"
-        assert np.array_equal(got.start, ref.start), f"{where} start"
-        assert np.array_equal(got.assignment, ref.assignment), (
-            f"{where} assignment"
-        )
-        assert got.makespan == ref.makespan, f"{where} makespan"
-        assert start_checksum(got) == start_checksum(ref), f"{where} checksum"
-        assert np.array_equal(ugot.start, uref.start), (
-            f"{where} unassigned start"
-        )
-        assert np.array_equal(ugot.machine, uref.machine), (
-            f"{where} machine"
-        )
+    got = list_schedule(inst, m, assignment, priority=priority, engine="vector")
+    ugot = list_schedule_unassigned(inst, m, priority=priority, engine="vector")
+    assert np.array_equal(got.start, ref.start), f"{label} start"
+    assert np.array_equal(got.assignment, ref.assignment), f"{label} assignment"
+    assert got.makespan == ref.makespan, f"{label} makespan"
+    assert start_checksum(got) == start_checksum(ref), f"{label} checksum"
+    assert np.array_equal(ugot.start, uref.start), f"{label} unassigned start"
+    assert np.array_equal(ugot.machine, uref.machine), f"{label} machine"
 
 
 def case_priorities(inst, seed):
@@ -151,14 +113,10 @@ class TestRegistryGoldens:
         fn = get_algorithm(algorithm)
         for label, inst, m in golden_cases:
             ref = fn(inst, m, seed=0, engine="heap")
-            for vlabel, engine, path in engine_variants():
-                with force_path(path):
-                    got = fn(inst, m, seed=0, engine=engine)
-                assert np.array_equal(got.start, ref.start), (
-                    f"{label}/{algorithm} [{vlabel}]"
-                )
-                assert got.makespan == ref.makespan
-                assert start_checksum(got) == start_checksum(ref)
+            got = fn(inst, m, seed=0, engine="vector")
+            assert np.array_equal(got.start, ref.start), f"{label}/{algorithm}"
+            assert got.makespan == ref.makespan
+            assert start_checksum(got) == start_checksum(ref)
 
 
 class TestCorpus:
@@ -196,11 +154,7 @@ class TestHypothesisEquivalence:
 class TestPriorityProperties:
     """Satellite: tie-break determinism pinned for every engine."""
 
-    def _engines(self):
-        yield "heap", None
-        yield "vector", None
-        for path in PATHS:
-            yield "bucket", path
+    ENGINES = ("heap", "vector")
 
     @given(sweep_instances(max_n=12, max_k=3))
     @settings(max_examples=25, deadline=None)
@@ -208,19 +162,18 @@ class TestPriorityProperties:
         m = 3
         assignment = np.arange(inst.n_cells) % m
         zeros = np.zeros(inst.n_tasks, dtype=np.int64)
-        for engine, path in self._engines():
-            with force_path(path):
-                a = list_schedule(inst, m, assignment, priority=None,
-                                  engine=engine)
-                b = list_schedule(inst, m, assignment, priority=zeros,
-                                  engine=engine)
-                ua = list_schedule_unassigned(inst, m, priority=None,
-                                              engine=engine)
-                ub = list_schedule_unassigned(inst, m, priority=zeros,
-                                              engine=engine)
-            assert np.array_equal(a.start, b.start), (engine, path)
-            assert np.array_equal(ua.start, ub.start), (engine, path)
-            assert np.array_equal(ua.machine, ub.machine), (engine, path)
+        for engine in self.ENGINES:
+            a = list_schedule(inst, m, assignment, priority=None,
+                              engine=engine)
+            b = list_schedule(inst, m, assignment, priority=zeros,
+                              engine=engine)
+            ua = list_schedule_unassigned(inst, m, priority=None,
+                                          engine=engine)
+            ub = list_schedule_unassigned(inst, m, priority=zeros,
+                                          engine=engine)
+            assert np.array_equal(a.start, b.start), engine
+            assert np.array_equal(ua.start, ub.start), engine
+            assert np.array_equal(ua.machine, ub.machine), engine
 
     @given(
         sweep_instances(max_n=12, max_k=3),
@@ -234,13 +187,12 @@ class TestPriorityProperties:
         assignment = np.arange(inst.n_cells) % m
         prio = rng.integers(0, 5, inst.n_tasks)
         scaled = prio * 1000 - 7
-        for engine, path in self._engines():
-            with force_path(path):
-                a = list_schedule(inst, m, assignment, priority=prio,
-                                  engine=engine)
-                b = list_schedule(inst, m, assignment, priority=scaled,
-                                  engine=engine)
-            assert np.array_equal(a.start, b.start), (engine, path)
+        for engine in self.ENGINES:
+            a = list_schedule(inst, m, assignment, priority=prio,
+                              engine=engine)
+            b = list_schedule(inst, m, assignment, priority=scaled,
+                              engine=engine)
+            assert np.array_equal(a.start, b.start), engine
 
     @given(
         sweep_instances(max_n=10, max_k=3),
@@ -272,45 +224,90 @@ class TestPriorityProperties:
             again = list_schedule(vinst, m, assignment, priority=None,
                                   engine="heap")
             assert np.array_equal(ref.start, again.start), variant
-            for vlabel, engine, path in engine_variants():
-                with force_path(path):
-                    got = list_schedule(vinst, m, assignment, priority=None,
-                                        engine=engine)
-                assert np.array_equal(got.start, ref.start), (variant, vlabel)
+            got = list_schedule(vinst, m, assignment, priority=None,
+                                engine="vector")
+            assert np.array_equal(got.start, ref.start), variant
             ctx = OracleContext(vinst, m)
             violations = check_schedule(ref, algorithm="fifo", ctx=ctx)
             assert not violations, (variant, [str(v) for v in violations])
 
 
 class TestAutoRule:
-    def test_auto_crossover_heap_bucket_vector(self):
-        """The three-way width rule: heap below the bucket crossover,
-        bucket in the merely-wide regime, vector once the *uncapped* mean
-        wavefront reaches ``_VECTOR_MIN_WIDTH`` tasks per level.
+    def test_auto_width_rule(self):
+        """One width rule: the frontier kernel once ``min(processors
+        holding a task, n_tasks // union levels)`` reaches
+        ``_FRONTIER_MIN_WIDTH``, the heap below it.
         """
-        from repro.core.list_scheduler import resolve_engine
-        from repro.core.vector_scheduler import _VECTOR_MIN_WIDTH
+        from repro.core.list_scheduler import _FRONTIER_MIN_WIDTH, resolve_engine
         from repro.instances.families import identical_chains, wide_shallow
 
         narrow = identical_chains(64, 2)
         assert resolve_engine("auto", None, narrow, 4) == "heap"
-        # Wide but below the vector crossover: the bucket engine's regime.
         wide = wide_shallow(1000, 2, seed=0)
-        assert wide.n_tasks // wide.union_dag().num_levels() < _VECTOR_MIN_WIDTH
-        assert resolve_engine("auto", None, wide, 512) == "bucket"
-        # At/above the vector crossover the frontier batch kernel wins.
-        very_wide = wide_shallow(4000, 2, seed=0)
-        assert (
-            very_wide.n_tasks // very_wide.union_dag().num_levels()
-            >= _VECTOR_MIN_WIDTH
-        )
-        assert resolve_engine("auto", None, very_wide, 512) == "vector"
+        assert wide.n_tasks // wide.union_dag().num_levels() >= 512
+        assert resolve_engine("auto", None, wide, 512) == "vector"
+        # The processor count caps the width: m below the threshold
+        # keeps the heap however wide the wavefront.
+        assert resolve_engine("auto", None, wide, _FRONTIER_MIN_WIDTH - 1) == "heap"
+        assert resolve_engine("auto", None, wide, _FRONTIER_MIN_WIDTH) == "vector"
         # Unsupported keys force the heap even on very wide instances.
-        obj = np.empty(very_wide.n_tasks, dtype=object)
-        obj[:] = [(0, i) for i in range(very_wide.n_tasks)]
-        assert resolve_engine("auto", obj, very_wide, 512) == "heap"
+        obj = np.empty(wide.n_tasks, dtype=object)
+        obj[:] = [(0, i) for i in range(wide.n_tasks)]
+        assert resolve_engine("auto", obj, wide, 512) == "heap"
 
-    @pytest.mark.parametrize("engine", ["bucket", "vector"])
+    def test_auto_counts_processors_holding_tasks(self):
+        """Routing reads the assignment: on the 4000-cell tetonly mesh a
+        64-cell-block assignment leaves most of m=128 processors empty,
+        so the heap runs; a random cell assignment at m=512 fills them
+        and the frontier kernel runs.  Graham mode counts all ``m``.
+        """
+        from repro.core.assignment import block_assignment
+        from repro.core.list_scheduler import resolve_engine
+        from repro.mesh import make_mesh
+        from repro.partition import partition_mesh_blocks
+        from repro.sweeps.dag_builder import build_instance_batched
+        from repro.sweeps.directions import directions_for_mesh
+
+        mesh = make_mesh("tetonly", target_cells=4000, seed=0)
+        inst = build_instance_batched(mesh, directions_for_mesh(3, 8))
+        blocks = partition_mesh_blocks(mesh.n_cells, mesh.adjacency, 64, seed=0)
+        blocked = block_assignment(blocks, 128, seed=0)
+        assert np.unique(blocked).size < 64
+        assert resolve_engine("auto", None, inst, 128, blocked) == "heap"
+        assert resolve_engine("auto", None, inst, 128) == "vector"
+        spread = random_cell_assignment(inst.n_cells, 512, as_rng(0))
+        assert resolve_engine("auto", None, inst, 512, spread) == "vector"
+
+    def test_route_counter_and_span_width(self):
+        """Each auto decision is a ``scheduler.route.*`` counter and the
+        measured width rides on the schedule span; explicit engines are
+        not routing decisions and count nothing.
+        """
+        from repro import obs
+        from repro.instances.families import identical_chains, wide_shallow
+
+        was_on = obs.tracing_enabled()
+        obs.enable_tracing()
+        obs.reset()
+        try:
+            wide = wide_shallow(1000, 2, seed=0)
+            narrow = identical_chains(64, 2)
+            list_schedule(wide, 128, np.arange(wide.n_cells) % 128)
+            list_schedule_unassigned(narrow, 4)
+            list_schedule(narrow, 4, np.zeros(narrow.n_cells), engine="heap")
+            counters = obs.drain_metrics()["counters"]
+            assert counters.get("scheduler.route.vector") == 1
+            assert counters.get("scheduler.route.heap") == 1
+            spans = {s.name: s.args for s in obs.drain_spans()}
+            assert spans["schedule.vector"]["width"] == 128
+            assert spans["schedule.heap_unassigned"]["width"] == 2
+            assert spans["schedule.heap"]["width"] is None
+        finally:
+            obs.reset()
+            if not was_on:
+                obs.disable_tracing()
+
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_explicit_engine_ignores_width(self, engine):
         from repro.core.list_scheduler import resolve_engine
         from repro.instances.families import identical_chains
@@ -318,7 +315,7 @@ class TestAutoRule:
         narrow = identical_chains(64, 2)
         assert resolve_engine(engine, None, narrow, 4) == engine
 
-    @pytest.mark.parametrize("engine", ["bucket", "vector"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_explicit_engine_rejects_object_keys(self, engine):
         from repro.core.list_scheduler import resolve_engine
         from repro.instances.families import identical_chains

@@ -1,202 +1,51 @@
-"""Mutation-kill tests for the bucket and vector scheduling engines.
+"""Mutation-kill tests for the frontier scheduling kernel.
 
 Same philosophy as :mod:`tests.test_validator_mutations`: each seeded
-fault in :mod:`repro.core.fast_scheduler` and
-:mod:`repro.core.vector_scheduler` must be *killed* (detected) by at
-least one case in this file, and each case documents exactly which
+fault in :mod:`repro.core.vector_scheduler` must be *killed* (detected)
+by at least one case in this file, and each case documents exactly which
 fault it targets and why (or whether) the other faults slip through it.
 A fault that every case survives would mean the equivalence suite's
-coverage has a hole exactly where the engine's bookkeeping is subtlest.
+coverage has a hole exactly where the kernel's bookkeeping is subtlest.
 
-The three bucket-engine faults (``fast_scheduler._MUTATION``):
-
-* ``"bucket_off_by_one"`` — promoted tasks are filed one bucket too
-  high, i.e. their priority is silently inflated by one.
-* ``"skip_promotion"`` — only the first newly-ready task of a promotion
-  batch is pushed; the rest are lost.
-* ``"stale_minptr"`` — the per-processor min-pointer is not lowered when
-  a newly pushed task lands below it, so the forward scan can miss work.
-
-Setting ``_MUTATION`` forces the narrow bucket-queue path (the faults
-live in its ``push_batch``); the initial frontier push is exempt, so a
-kill case must route the target task through a *promotion*.
-
-The three vector-engine faults (``vector_scheduler._MUTATION``) target
-the superstep kernel's three moving parts (pop cut, in-degree
-decrement, packed-code tie-break); arming any of them also disables the
-endgame drain so the superstep loop is always the code under test:
+The five faults (``vector_scheduler._MUTATION``) target the kernel's
+moving parts — pop cut, in-degree decrement, packed-code tie-break,
+promotion, and endgame drain.  Arming a fault leaves the drain on, so
+every case runs the same code path production does: the loop until the
+frontier holds every remaining task, then the drain.
 
 * ``"frontier_off_by_one"`` — the pop mask loses its last processor (its
-  last ``min(m, r)``-th task in unassigned mode) whenever a superstep
-  pops more than one task.
-* ``"stale_indegree"`` — same-superstep sibling completions are folded
-  to a single decrement, so a task whose predecessors finish together
-  keeps a positive in-degree forever.
+  last ``min(m, r)``-th task in Graham mode) whenever a superstep pops
+  more than one task.
+* ``"stale_indegree"`` — the ``np.subtract.at`` decrement becomes a
+  fancy-index ``-=``, which folds duplicate targets: a task whose
+  predecessors finish in the same superstep keeps a positive in-degree
+  forever.
 * ``"unstable_tiebreak"`` — the task-id component of the packed code is
   inverted (symmetrically, so decode still works): every equal-priority
   tie now breaks toward the *higher* id.
+* ``"skip_promotion"`` — only the first newly-ready task of a superstep
+  is merged into the frontier; the rest are lost.
+* ``"drain_off_by_one"`` — the endgame drain's per-queue rank lags one
+  slot from the queue's second task on, so a queue's first two tasks
+  share a step.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.fast_scheduler as fs
 import repro.core.vector_scheduler as vs
 from repro.core.dag import Dag
 from repro.core.instance import SweepInstance
 from repro.core.list_scheduler import list_schedule, list_schedule_unassigned
 from repro.util.errors import InvalidScheduleError
 
-MUTATIONS = ("bucket_off_by_one", "skip_promotion", "stale_minptr")
 VECTOR_MUTATIONS = (
     "frontier_off_by_one",
     "stale_indegree",
     "unstable_tiebreak",
+    "skip_promotion",
+    "drain_off_by_one",
 )
-
-
-def run(inst, prio, mutation=None, monkeypatch=None):
-    if mutation is not None:
-        monkeypatch.setattr(fs, "_MUTATION", mutation)
-    try:
-        return list_schedule(
-            inst, 1, np.zeros(inst.n_cells, dtype=np.int64),
-            priority=np.asarray(prio), engine="bucket",
-        )
-    finally:
-        if mutation is not None:
-            monkeypatch.setattr(fs, "_MUTATION", None)
-
-
-def case_off_by_one():
-    """Kills ``bucket_off_by_one``.
-
-    a(0) -> z(1); w(2) free.  Priorities [0, 5, 5]: after a runs, z and
-    w tie at priority 5 and z's lower id must win.  The fault promotes z
-    into bucket 6, so w (bucket 5) is popped first and the tie-break
-    flips.  ``skip_promotion`` survives (the promotion batch is a
-    singleton) and ``stale_minptr`` survives (z lands at bucket 5, not
-    below the min-pointer, which sits at 0 from a's frontier push).
-    """
-    inst = SweepInstance(3, [Dag.from_edge_list(3, [(0, 1)])])
-    return inst, [0, 5, 5], np.array([0, 1, 2])
-
-
-def case_skip_promotion():
-    """Kills ``skip_promotion``.
-
-    a(0) -> b(1), a(0) -> c(2), uniform priorities: a's completion
-    promotes the batch [b, c] and the fault drops c, which is then never
-    ready — the engine must report the false cycle.  ``bucket_off_by_one``
-    survives (both promotions shift to bucket 1 together; the scan still
-    finds them and ids break the tie) and ``stale_minptr`` survives (the
-    promotions land at bucket 1, not below the pointer at bucket 0).
-    """
-    inst = SweepInstance(3, [Dag.from_edge_list(3, [(0, 1), (0, 2)])])
-    return inst, [0, 0, 0], np.array([0, 1, 2])
-
-
-def case_stale_minptr():
-    """Kills ``stale_minptr``.
-
-    Roots a(0, prio 2) and w(1, prio 3); a -> z(2, prio 0).  After a
-    runs, z is promoted into bucket 0 — *below* the min-pointer, which
-    the frontier push left at 2.  The stale pointer scans forward, runs
-    w before z, and on the final step walks off the end of the bucket
-    array: the engine must raise its bookkeeping error.
-    ``bucket_off_by_one`` survives (z lands at bucket 1, still below w;
-    the pointer is correctly lowered and order is preserved) and
-    ``skip_promotion`` survives (singleton batch).
-    """
-    inst = SweepInstance(3, [Dag.from_edge_list(3, [(0, 2)])])
-    return inst, [2, 3, 0], np.array([0, 2, 1])
-
-
-CASES = {
-    "bucket_off_by_one": case_off_by_one,
-    "skip_promotion": case_skip_promotion,
-    "stale_minptr": case_stale_minptr,
-}
-
-#: What each (case, mutation) pair must do.  ``"correct"`` = survives
-#: (bit-identical to production), anything else = the kill signature.
-KILL_MATRIX = {
-    ("bucket_off_by_one", "bucket_off_by_one"): "wrong_schedule",
-    ("bucket_off_by_one", "skip_promotion"): "correct",
-    ("bucket_off_by_one", "stale_minptr"): "correct",
-    ("skip_promotion", "bucket_off_by_one"): "correct",
-    ("skip_promotion", "skip_promotion"): "false_cycle",
-    ("skip_promotion", "stale_minptr"): "correct",
-    ("stale_minptr", "bucket_off_by_one"): "correct",
-    ("stale_minptr", "skip_promotion"): "correct",
-    ("stale_minptr", "stale_minptr"): "bookkeeping_error",
-}
-
-
-class TestProductionBaseline:
-    """Unmutated engine: correct result, identical to the heap engine."""
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bucket_matches_expected_and_heap(self, case):
-        inst, prio, expected_start = CASES[case]()
-        got = run(inst, prio)
-        assert np.array_equal(got.start, expected_start)
-        ref = list_schedule(
-            inst, 1, np.zeros(inst.n_cells, dtype=np.int64),
-            priority=np.asarray(prio), engine="heap",
-        )
-        assert np.array_equal(got.start, ref.start)
-
-    def test_mutation_forces_bucket_queue_path(self, monkeypatch):
-        """The faults live in the narrow core; the pool must not be used
-        while a mutation is armed, or the kill cases would test nothing.
-        """
-        inst, _, _ = case_off_by_one()
-        monkeypatch.setattr(fs, "_MUTATION", "bucket_off_by_one")
-        assert not fs._use_pool(inst, 1)
-
-
-class TestKillMatrix:
-    @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("mutation", MUTATIONS)
-    def test_cell(self, case, mutation, monkeypatch):
-        inst, prio, expected_start = CASES[case]()
-        outcome = KILL_MATRIX[(case, mutation)]
-        if outcome == "correct":
-            got = run(inst, prio, mutation, monkeypatch)
-            assert np.array_equal(got.start, expected_start), (
-                f"{mutation} unexpectedly changed the {case} schedule"
-            )
-        elif outcome == "wrong_schedule":
-            got = run(inst, prio, mutation, monkeypatch)
-            assert not np.array_equal(got.start, expected_start), (
-                f"{case} failed to kill {mutation}"
-            )
-        elif outcome == "false_cycle":
-            with pytest.raises(InvalidScheduleError, match="cycle"):
-                run(inst, prio, mutation, monkeypatch)
-        elif outcome == "bookkeeping_error":
-            with pytest.raises(
-                InvalidScheduleError, match="bookkeeping error"
-            ):
-                run(inst, prio, mutation, monkeypatch)
-        else:  # pragma: no cover - matrix typo guard
-            raise AssertionError(f"unknown outcome {outcome!r}")
-
-    def test_every_mutation_is_killed(self):
-        """Census: each fault must have at least one non-surviving cell."""
-        for mutation in MUTATIONS:
-            kills = [
-                case
-                for case in CASES
-                if KILL_MATRIX[(case, mutation)] != "correct"
-            ]
-            assert kills, f"no case kills {mutation}"
-
-
-# ----------------------------------------------------------------------
-# vector engine
-# ----------------------------------------------------------------------
 
 
 def vrun(inst, m, assignment, prio, mutation=None, monkeypatch=None):
@@ -212,17 +61,22 @@ def vrun(inst, m, assignment, prio, mutation=None, monkeypatch=None):
             monkeypatch.setattr(vs, "_MUTATION", None)
 
 
+def _inst(n, edges):
+    return SweepInstance(n, [Dag.from_edge_list(n, edges)])
+
+
 def vcase_frontier_off_by_one():
     """Kills ``frontier_off_by_one``.
 
-    Two free tasks on two processors, uniform priorities: production
-    runs both at step 0; the fault clears the second processor's pop, so
-    its task slips to step 1.  ``stale_indegree`` survives (no edges, so
-    the decrement never runs) and ``unstable_tiebreak`` survives (each
-    processor's queue holds a single task — there is no tie to flip).
+    a(0) -> c(2) with a, c on processor 0 and a free b(1) on processor 1,
+    uniform priorities: production pops a and b at step 0 and drains c
+    at step 1.  The fault clears b's pop, so b slips to step 1.  The
+    others survive: c is promoted alone and without duplicates
+    (``stale_indegree``, ``skip_promotion``), every processor run is a
+    singleton (``unstable_tiebreak``), and the final drain holds one task
+    (``drain_off_by_one``).
     """
-    inst = SweepInstance(2, [Dag.from_edge_list(2, [])])
-    return inst, 2, [0, 1], [0, 0], np.array([0, 0])
+    return _inst(3, [(0, 2)]), 2, [0, 1, 0], [0, 0, 0], np.array([0, 0, 1])
 
 
 def vcase_stale_indegree():
@@ -231,52 +85,88 @@ def vcase_stale_indegree():
     a(0) -> z(2) and b(1) -> z(2) with a, b on different processors:
     both predecessors complete in the same superstep, so the gathered
     successor batch is ``[z, z]`` and the correct decrement is 2.  The
-    fault subtracts 1, z's in-degree never reaches zero, and the engine
+    fault subtracts 1, z's in-degree never reaches zero, and the kernel
     must report the false cycle.  ``unstable_tiebreak`` survives (each
-    processor run is a singleton at every superstep; z's promotion step
-    and processor are unchanged).  ``frontier_off_by_one`` does NOT
+    processor run is a singleton), ``skip_promotion`` survives (the
+    newly-ready batch is ``[z, z]``, one task), ``drain_off_by_one``
+    survives (z drains alone).  ``frontier_off_by_one`` does NOT
     survive — it drops b's step-0 pop, serialising the predecessors —
     which is the price of a fault that perturbs *every* multi-pop
     superstep; the cell below records the honest outcome.
     """
-    inst = SweepInstance(3, [Dag.from_edge_list(3, [(0, 2), (1, 2)])])
-    return inst, 2, [0, 1, 0], [0, 0, 0], np.array([0, 0, 1])
+    return (
+        _inst(3, [(0, 2), (1, 2)]), 2, [0, 1, 0], [0, 0, 0],
+        np.array([0, 0, 1]),
+    )
 
 
 def vcase_unstable_tiebreak():
     """Kills ``unstable_tiebreak``.
 
-    Two free tasks tied at priority 0 on one processor: id order says
-    task 0 first, the inverted packed codes say task 1 first.  The other
-    faults survive: one processor run per superstep means the off-by-one
-    cut never fires (it needs more than one pop), and no edges means no
-    decrement for ``stale_indegree`` to corrupt.
+    Free a(0) and b(1) tied at priority 0 on processor 0, b -> c(2) on
+    processor 1: id order runs a, then b, then drains c — starts
+    ``[0, 1, 2]``.  The inverted codes run b first, promoting c early.
+    The other faults survive: one processor run per superstep means the
+    off-by-one cut never fires, promotions are single and duplicate-free,
+    and c drains alone.
     """
-    inst = SweepInstance(2, [Dag.from_edge_list(2, [])])
-    return inst, 1, [0, 0], [0, 0], np.array([0, 1])
+    return _inst(3, [(1, 2)]), 2, [0, 0, 1], [0, 0, 0], np.array([0, 1, 2])
+
+
+def vcase_skip_promotion():
+    """Kills ``skip_promotion``.
+
+    a(0) -> b(1) and a(0) -> c(2), b on processor 0 with a, c on
+    processor 1: a's completion promotes the batch ``[b, c]`` and the
+    fault drops c, which is then never ready — the kernel must report
+    the false cycle.  The others survive: step 0 pops one task, the
+    gathered batch has no duplicates, and b and c drain as singletons on
+    their own processors.
+    """
+    return (
+        _inst(3, [(0, 1), (0, 2)]), 2, [0, 0, 1], [0, 0, 0],
+        np.array([0, 1, 1]),
+    )
+
+
+def vcase_drain_off_by_one():
+    """Kills ``drain_off_by_one``.
+
+    Two free tasks with priorities 0 and 1 on one processor: the whole
+    instance is one drain whose queue ranks are ``[0, 1]``; the fault
+    ranks both 0.  The others survive: there is no loop superstep, no
+    edge, and no tie to break.
+    """
+    return _inst(2, []), 1, [0, 0], [0, 1], np.array([0, 1])
 
 
 VECTOR_CASES = {
     "frontier_off_by_one": vcase_frontier_off_by_one,
     "stale_indegree": vcase_stale_indegree,
     "unstable_tiebreak": vcase_unstable_tiebreak,
+    "skip_promotion": vcase_skip_promotion,
+    "drain_off_by_one": vcase_drain_off_by_one,
 }
 
+#: What each (case, mutation) pair must do.  ``"correct"`` = survives
+#: (bit-identical to production), anything else = the kill signature.
 VECTOR_KILL_MATRIX = {
+    (case, mutation): "correct"
+    for case in VECTOR_CASES
+    for mutation in VECTOR_MUTATIONS
+}
+VECTOR_KILL_MATRIX.update({
     ("frontier_off_by_one", "frontier_off_by_one"): "wrong_schedule",
-    ("frontier_off_by_one", "stale_indegree"): "correct",
-    ("frontier_off_by_one", "unstable_tiebreak"): "correct",
     ("stale_indegree", "frontier_off_by_one"): "wrong_schedule",
     ("stale_indegree", "stale_indegree"): "false_cycle",
-    ("stale_indegree", "unstable_tiebreak"): "correct",
-    ("unstable_tiebreak", "frontier_off_by_one"): "correct",
-    ("unstable_tiebreak", "stale_indegree"): "correct",
     ("unstable_tiebreak", "unstable_tiebreak"): "wrong_schedule",
-}
+    ("skip_promotion", "skip_promotion"): "false_cycle",
+    ("drain_off_by_one", "drain_off_by_one"): "wrong_schedule",
+})
 
 
 class TestVectorProductionBaseline:
-    """Unmutated vector engine: correct result, identical to the heap."""
+    """Unmutated kernel: correct result, identical to the heap."""
 
     @pytest.mark.parametrize("case", sorted(VECTOR_CASES))
     def test_vector_matches_expected_and_heap(self, case):
@@ -289,16 +179,15 @@ class TestVectorProductionBaseline:
         )
         assert np.array_equal(got.start, ref.start)
 
-    def test_mutation_disables_endgame_drain(self, monkeypatch):
-        """An armed fault must force the superstep loop even when the
-        whole instance is one ready frontier, or drain-batched cases
-        would never execute the mutated code at all.  Pinned through the
-        superstep metric: the drain finishes the two-task single-proc
-        case in one superstep, the loop needs two.
+    def test_armed_fault_keeps_endgame_drain(self, monkeypatch):
+        """An armed fault must not change the code path: the kill cases
+        test the kernel production runs, drain included.  Pinned through
+        the superstep metric: the drain finishes the two-task
+        single-processor case in one superstep, with or without a fault.
         """
         from repro import obs
 
-        inst, m, assignment, prio, _ = vcase_unstable_tiebreak()
+        inst, m, assignment, prio, _ = vcase_drain_off_by_one()
         was_on = obs.tracing_enabled()
         obs.enable_tracing()
         obs.reset()
@@ -307,8 +196,8 @@ class TestVectorProductionBaseline:
             drained = obs.drain_metrics()["counters"]
             assert drained.get("scheduler.vector.supersteps") == 1
             vrun(inst, m, assignment, prio, "stale_indegree", monkeypatch)
-            looped = obs.drain_metrics()["counters"]
-            assert looped.get("scheduler.vector.supersteps") == 2
+            armed = obs.drain_metrics()["counters"]
+            assert armed.get("scheduler.vector.supersteps") == 1
         finally:
             obs.reset()
             if not was_on:
@@ -338,40 +227,59 @@ class TestVectorKillMatrix:
             raise AssertionError(f"unknown outcome {outcome!r}")
 
     def test_unassigned_mode_kills(self, monkeypatch):
-        """Graham mode exercises the same faults through its own pop cut
-        and machine assignment: two free tied tasks on two machines run
-        ``(start 0, machines 0 and 1)`` in production; the off-by-one
-        cut pops only one of them per superstep, and the inverted
-        tie-break hands machine 0 to the wrong task.  ``stale_indegree``
-        survives (no edges).
-        """
-        inst = SweepInstance(2, [Dag.from_edge_list(2, [])])
+        """Graham mode exercises every fault through its own pop cut,
+        machine numbering, and drain.
 
-        def urun(mutation=None):
+        * a(0) -> c(2), b(1) free, m=2: production runs a, b at step 0 on
+          machines 0, 1 and drains c at step 1.  The off-by-one cut pops
+          only a; the inverted tie-break hands machine 0 to b.
+        * a(0) -> b(1), a(0) -> c(2), m=2: skipping c's promotion leaves
+          it never ready (false cycle); the fancy-index decrement folds
+          the duplicate edges of a(0) -> z(2), b(1) -> z(2).
+        * three free tasks, m=2: the drain runs ``[0, 0, 1]`` on machines
+          ``[0, 1, 0]``; the lagging rank puts the first two on
+          machine 0 at step 0.
+        """
+
+        def urun(inst, mutation=None):
             if mutation is not None:
                 monkeypatch.setattr(vs, "_MUTATION", mutation)
             try:
                 return list_schedule_unassigned(
-                    inst, 2,
-                    priority=np.zeros(2, dtype=np.int64), engine="vector",
+                    inst, 2, priority=np.zeros(inst.n_tasks, dtype=np.int64),
+                    engine="vector",
                 )
             finally:
                 if mutation is not None:
                     monkeypatch.setattr(vs, "_MUTATION", None)
 
-        base = urun()
-        assert np.array_equal(base.start, [0, 0])
-        assert np.array_equal(base.machine, [0, 1])
-        off = urun("frontier_off_by_one")
+        pop = _inst(3, [(0, 2)])
+        base = urun(pop)
+        assert np.array_equal(base.start, [0, 0, 1])
+        assert np.array_equal(base.machine, [0, 1, 0])
+        off = urun(pop, "frontier_off_by_one")
         assert not np.array_equal(off.start, base.start)
-        tie = urun("unstable_tiebreak")
+        tie = urun(pop, "unstable_tiebreak")
         assert not np.array_equal(tie.machine, base.machine)
-        stale = urun("stale_indegree")
-        assert np.array_equal(stale.start, base.start)
-        assert np.array_equal(stale.machine, base.machine)
+        for survivor in ("stale_indegree", "skip_promotion", "drain_off_by_one"):
+            got = urun(pop, survivor)
+            assert np.array_equal(got.start, base.start), survivor
+            assert np.array_equal(got.machine, base.machine), survivor
+
+        with pytest.raises(InvalidScheduleError, match="cycle"):
+            urun(_inst(3, [(0, 1), (0, 2)]), "skip_promotion")
+        with pytest.raises(InvalidScheduleError, match="cycle"):
+            urun(_inst(3, [(0, 2), (1, 2)]), "stale_indegree")
+
+        free = _inst(3, [])
+        drained = urun(free)
+        assert np.array_equal(drained.start, [0, 0, 1])
+        assert np.array_equal(drained.machine, [0, 1, 0])
+        lagged = urun(free, "drain_off_by_one")
+        assert not np.array_equal(lagged.machine, drained.machine)
 
     def test_every_vector_mutation_is_killed(self):
-        """Census: each vector fault has at least one non-surviving cell."""
+        """Census: each fault has at least one non-surviving cell."""
         for mutation in VECTOR_MUTATIONS:
             kills = [
                 case

@@ -242,7 +242,7 @@ class TestEngine:
         silent = lint_source(body, path="tests/x.py")
         assert silent.ok
         opted_in = lint_source(
-            "# repro-lint-fixture: path=core/fast_scheduler.py\n" + body,
+            "# repro-lint-fixture: path=core/vector_scheduler.py\n" + body,
             path="tests/x.py",
         )
         assert [d.rule for d in opted_in.diagnostics] == ["RPL005"]

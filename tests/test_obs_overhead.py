@@ -50,7 +50,7 @@ def mesh_large():
     priority = delayed_task_layers(inst, delays)
     union = inst.union_dag()
     union.successor_lists()
-    union.padded_successors()
+    union.successor_csr()
     union.num_levels()
     return inst, m, assignment, priority
 
@@ -94,7 +94,7 @@ class TestDisabledOverhead:
         assert obs.drain_spans() == []
         assert obs.drain_metrics() == {"counters": {}, "gauges": {}}
 
-    @pytest.mark.parametrize("engine", ["heap", "bucket"])
+    @pytest.mark.parametrize("engine", ["heap", "vector"])
     def test_instrumentation_within_two_percent_of_mesh_large(
         self, mesh_large, untraced, engine
     ):
