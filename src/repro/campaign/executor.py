@@ -7,7 +7,8 @@ ones), group those by sweep instance so mesh/DAG construction is paid
 once per group, and execute each group either serially (memoised
 instance, one checkpoint per cell) or through the
 :mod:`repro.parallel` dispatcher (shared-memory instance, ``workers``
-processes, one checkpoint per streamed result).  Every checkpoint is an
+processes of the resident pool; one checkpoint per streamed result).
+Every checkpoint is an
 atomic sqlite commit, so the run survives ``SIGKILL`` at any instant —
 a rerun re-executes only the cells that had not committed.
 
@@ -141,15 +142,14 @@ def run_campaign(
     and report stay byte-identical.
     """
     from repro import obs
+    from repro.experiments.runner import resolve_workers
 
     if stats is None:
         stats = CampaignStats()
-    if workers is None:
-        workers = 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise CampaignError(f"workers must be >= 0, got {workers}")
+    try:
+        workers = resolve_workers(workers)
+    except ValueError as exc:
+        raise CampaignError(str(exc)) from None
     if limit is not None and limit < 0:
         raise CampaignError(f"limit must be >= 0, got {limit}")
     stats.workers = workers

@@ -161,16 +161,18 @@ def run_cell(
     )
 
 
-def resolve_workers(workers: int | None, config: ExperimentConfig) -> int:
+def resolve_workers(workers: int | None, config: ExperimentConfig | None = None) -> int:
     """Effective worker count: explicit argument > config > serial.
 
-    ``None`` defers to ``config.workers``; ``0`` (from either source)
-    means "one worker per CPU" (``os.cpu_count()``).
+    ``None`` defers to ``config.workers`` (serial without a config);
+    ``0`` (from either source) means "one worker per CPU"
+    (``os.cpu_count()``).  Larger counts are kept, not clamped; the
+    dispatcher reports them as oversubscribed.
     """
     import os
 
     if workers is None:
-        workers = config.workers
+        workers = config.workers if config is not None else 1
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers < 0:

@@ -13,7 +13,8 @@ three-stage plan:
    model (``n_tasks`` work units per cell) so the pool sees
    ``~_CHUNKS_PER_WORKER`` chunks per worker: few enough to amortise
    dispatch overhead, many enough to load-balance.
-3. **Dispatch** — chunks run on a pool whose workers :func:`attach
+3. **Dispatch** — chunks run on the process-wide resident pool
+   (:mod:`repro.parallel.pool`), whose workers :func:`attach
    <repro.parallel.shm_store.attach>` to the parent's
    :class:`~repro.parallel.shm_store.SharedInstanceStore` (zero-copy, no
    rebuild).  Results stream back as ``(cell index, summary)`` pairs the
@@ -27,6 +28,7 @@ bit-identical to the serial runner's no matter how cells land on workers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -73,10 +75,10 @@ class DispatchStats:
     The ``*_s`` fields are the per-phase wall-clock breakdown the bench
     schema (v4) records per grid run: ``warm_s`` (parent-side cache
     warm-up), ``plan_s`` (batch/chunk planning), ``publish_s`` (shared
-    segment publish), ``dispatch_s`` (pool lifetime: submit through last
-    result), and ``wait_s`` — the portion of ``dispatch_s`` the parent
-    spent blocked on ``wait()`` with no finished chunk to ingest, i.e.
-    aggregation stalls.
+    segment publish), ``dispatch_s`` (pool acquisition, with any spawn,
+    then submit through last result), and ``wait_s`` — the portion of
+    ``dispatch_s`` the parent spent blocked on ``wait()`` with no
+    finished chunk to ingest, i.e. aggregation stalls.
     """
 
     workers: int = 0
@@ -234,21 +236,26 @@ def run_dispatch(
     while ``config`` still provides the instance, block sizes, engine,
     and warm-up algorithm set).
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from multiprocessing import get_context
+    from concurrent.futures import FIRST_COMPLETED, wait
 
     from repro import obs
     from repro.experiments.runner import get_blocks, get_instance
+    from repro.parallel.pool import shared_pool
     from repro.parallel.shm_store import SharedInstanceStore
-    from repro.parallel.worker import init_worker, run_chunk, warm_instance
+    from repro.parallel.worker import run_chunk, warm_instance
     from repro.util.timing import Timer
 
     if stats is None:
         stats = DispatchStats()
+    cpu_count = os.cpu_count() or 1
+    if workers > cpu_count:  # never clamped, but never silent either
+        obs.inc("parallel.oversubscribed")
     with obs.span(
         "grid.dispatch",
         cat="parallel",
-        args_fn=lambda: {"workers": workers, "n_chunks": stats.n_chunks},
+        args_fn=lambda: {"workers": workers, "cpu_count": cpu_count,
+                         "oversubscribed": workers > cpu_count,
+                         "n_chunks": stats.n_chunks},
     ):
         inst = get_instance(config)
         with obs.span("grid.warm", cat="parallel"), Timer() as t_warm:
@@ -273,26 +280,16 @@ def run_dispatch(
         stats.publish_s = t_pub.elapsed
         obs.gauge_max("parallel.publish_s", t_pub.elapsed)
         with store:
-            manifest = store.manifest
-            # Spawn-context workers: a fresh interpreter per worker maps
-            # the shared segment and nothing else, so worker peak RSS is
-            # the attach cost instead of a copy-on-write snapshot of the
-            # parent's whole heap (fork inherited ~860 MB of parent pages
-            # into every worker's VmHWM on the bench grid; spawn stays
-            # under the committed bench worker-RSS ceiling).
-            with Timer() as t_disp, ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=get_context("spawn"),
-                initializer=init_worker,
-                initargs=(manifest, obs.tracing_enabled()),
-            ) as pool:
+            with Timer() as t_disp:  # a first-call spawn lands here
+                pool = shared_pool().executor(workers)
                 pending = {
                     pool.submit(
                         run_chunk,
-                        manifest,
+                        store.manifest,
                         tuple(c for b in chunk for c in b.cells),
                         with_comm,
                         config.engine,
+                        obs.tracing_enabled(),
                     )
                     for chunk in chunks
                 }

@@ -26,7 +26,9 @@ the segment and described by an :class:`ArraySpec` table in the picklable
 
 from __future__ import annotations
 
+import _posixshmem
 import atexit
+import mmap
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -109,23 +111,6 @@ def _views(specs: tuple, buf, writeable: bool) -> dict:
         view.flags.writeable = writeable
         out[spec.key] = view
     return out
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Drop a segment from this process's resource tracker.
-
-    ``SharedMemory`` registers every handle — attach included — and the
-    tracker unlinks whatever is still registered at interpreter exit.
-    Workers only *attach*; if their handles stayed registered the tracker
-    would race the parent's unlink and spam "leaked shared_memory"
-    warnings.  Ownership lives with the publishing parent alone.
-    """
-    try:  # pragma: no cover - tracker layout is a CPython internal
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
 
 
 class SharedInstanceStore:
@@ -224,17 +209,6 @@ class SharedInstanceStore:
             return
         self._closed = True
         try:
-            # Fork-started workers share this process's resource tracker;
-            # their attach-time unregister (see _untrack) may have removed
-            # our registration, making unlink()'s own unregister a KeyError
-            # inside the tracker daemon.  Re-registering first keeps the
-            # tracker's cache consistent either way (it is a set).
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(self._shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - CPython internal
-                pass
             self._shm.close()
             self._shm.unlink()
         except FileNotFoundError:  # already unlinked elsewhere
@@ -269,9 +243,9 @@ class SharedInstanceStore:
 # worker side
 # ----------------------------------------------------------------------
 
-#: Per-process attachment cache: segment name -> (shm, instance, blocks).
-#: A worker typically serves one grid at a time, so only the most recent
-#: attachment is kept; older segments are closed when evicted.
+#: Per-process attachment cache: segment name -> (mapping, instance, blocks).
+#: A worker serves one grid at a time, so only the most recent attachment
+#: is kept; the previous segment's mapping is closed when evicted.
 _ATTACHED: dict = {}
 
 
@@ -280,21 +254,18 @@ def attach(
 ) -> tuple[SweepInstance, dict[int, np.ndarray]]:
     """Attach to a published store; returns ``(instance, blocks)``.
 
-    Zero-copy: the instance's arrays are read-only views of the shared
-    segment.  Attachments are memoised per process and per segment, so a
-    pool worker pays the (microsecond) mapping cost once no matter how
-    many task chunks it executes.
+    Zero-copy: the instance's arrays are read-only views of a read-only
+    mapping of the shared segment.  Attachments are memoised per process
+    and per segment, so a resident pool worker pays the (microsecond)
+    mapping cost once per grid no matter how many chunks it executes.
     """
     cached = _ATTACHED.get(manifest.segment)
     if cached is not None:
         return cached[1], cached[2]
-    # Attach-only handle: ownership (and unlinking) stays with the
-    # publishing parent; detach_all() closes this mapping on eviction
-    # and at worker exit.
+    # Not SharedMemory(name=...): that registers (and in a worker, starts)
+    # a resource tracker, and attachers never own the segment.
     try:
-        shm = shared_memory.SharedMemory(  # repro-lint: disable=RPL003 -- worker attach never owns the segment; the publishing SharedInstanceStore holds the close+unlink paths and detach_all() closes this handle
-            name=manifest.segment
-        )
+        fd = _posixshmem.shm_open("/" + manifest.segment, os.O_RDONLY)
     except FileNotFoundError as exc:
         raise StoreError(
             f"shared-memory segment {manifest.segment!r} no longer exists; "
@@ -302,17 +273,20 @@ def attach(
             "instance evicted, or the owning store was closed) — "
             "re-publish the instance and retry with a fresh manifest"
         ) from exc
-    _untrack(shm)
-    views = _views(manifest.specs, shm.buf, writeable=False)
+    try:
+        buf = mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
+    views = _views(manifest.specs, buf, writeable=False)
     if manifest.digest is not None:
-        sanitize.check_digest(shm.buf, manifest.digest, "attach")
+        sanitize.check_digest(buf, manifest.digest, "attach")
         sanitize.poison_views(views, "attach")
     blocks = {
         size: views.pop(f"blocks/{size}") for size in manifest.block_sizes
     }
     inst = SweepInstance.from_arrays(manifest.meta, views)
     detach_all()  # evict any previous grid's segment
-    _ATTACHED[manifest.segment] = (shm, inst, blocks)
+    _ATTACHED[manifest.segment] = (buf, inst, blocks)
     return inst, blocks
 
 
@@ -325,7 +299,7 @@ def verify_attached(manifest: StoreManifest) -> None:
     """
     entry = _ATTACHED.get(manifest.segment)
     if entry is not None and manifest.digest is not None:
-        sanitize.check_digest(entry[0].buf, manifest.digest, "worker chunk")
+        sanitize.check_digest(entry[0], manifest.digest, "worker chunk")
 
 
 def detach_all() -> None:

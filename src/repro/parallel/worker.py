@@ -13,6 +13,7 @@ worker.
 from __future__ import annotations
 
 import atexit
+import os
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # annotation-only imports; runtime imports stay lazy
@@ -85,39 +86,27 @@ def _die_with_parent() -> None:
         libc.prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
     except Exception:
         return
-    import os
-
     if os.getppid() == 1:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def init_worker(manifest: "StoreManifest", trace: bool = False) -> None:
-    """Pool initializer: attach to the shared store before the first task.
+def init_worker() -> None:
+    """Pool initializer, once per resident worker: ties it to the driver,
+    clears inherited obs buffers, drops its segment mapping at exit, and
+    closes the inherited resource-tracker pipe end (a driver stopping its
+    tracker waits for every write end to close)."""
+    from multiprocessing import resource_tracker
 
-    Attachment is memoised per process, so this only front-loads the
-    (tiny) mapping cost; :func:`run_chunk` would attach lazily anyway.
-    Registers an exit hook that drops the mapping when the worker dies,
-    and ties the worker's lifetime to the driver's
-    (:func:`_die_with_parent`) so a SIGKILL'd campaign or grid run
-    never strands orphan workers.
-
-    ``trace`` mirrors the parent's tracing switch explicitly (env
-    inheritance is not enough when the parent enabled tracing
-    programmatically, and spawn-context workers inherit no module
-    state).  The buffers are reset either way so a fork-started worker
-    never re-ships spans it inherited from the parent's buffer.
-    """
     from repro import obs
-    from repro.parallel.shm_store import attach, detach_all
+    from repro.parallel.shm_store import detach_all
 
     _die_with_parent()
-    if trace:
-        obs.enable_tracing()
-    else:
-        obs.disable_tracing()
+    tracker = resource_tracker._resource_tracker  # CPython internal
+    if tracker._fd is not None:
+        os.close(tracker._fd)
+        tracker._fd = None
     obs.reset()
     atexit.register(detach_all)
-    attach(manifest)
 
 
 def run_chunk(
@@ -125,8 +114,12 @@ def run_chunk(
     cells: Sequence["GridCell"],
     with_comm: bool,
     engine: str,
+    trace: bool,
 ) -> tuple[list[tuple[int, "ScheduleSummary"]], float, dict | None]:
     """Execute one chunk of grid cells against the shared instance.
+
+    ``trace`` is the driver's tracing switch at submit time; a resident
+    worker outlives any one grid, so it travels with each chunk.
 
     Returns ``(pairs, peak_rss_mb, obs_payload)`` where ``pairs`` is a
     list of ``(cell index, ScheduleSummary)`` — keyed results, so the
@@ -147,6 +140,10 @@ def run_chunk(
     from repro.parallel.shm_store import attach, verify_attached
     from repro.util.timing import Timer
 
+    if trace:
+        obs.enable_tracing()
+    else:
+        obs.disable_tracing()
     try:
         with obs.span(
             "worker.chunk",

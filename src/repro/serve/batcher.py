@@ -4,9 +4,10 @@ The daemon's latency/throughput trade is made here: schedule requests
 arriving within a small window (``max_delay_s``) that are *compatible*
 — same published segment, engine, block size, and comm setting — are
 coalesced into one grid chunk and dispatched as a single IPC round trip
-to a **resident** spawn-context pool (created once at daemon start, so
-a warm request never pays interpreter/import/attach startup).  Workers
-run the exact chunk entry point of the one-shot dispatcher
+to the process's **resident** spawn-context pool
+(:mod:`repro.parallel.pool`, pre-spawned at daemon start, so a warm
+request never pays interpreter/import/attach startup).  Workers
+run the exact chunk entry point of the grid dispatcher
 (:func:`repro.parallel.worker.run_chunk`), so results are bit-identical
 to ``run_grid`` by construction: every cell's randomness is a function
 of its seed alone.
@@ -23,12 +24,13 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.parallel.pool import shared_pool
 from repro.serve import protocol
 from repro.serve.instances import Lease
 from repro.util.errors import ServeError
 from repro.util.timing import now
 
-__all__ = ["BatchRequest", "Batcher", "init_serve_worker"]
+__all__ = ["BatchRequest", "Batcher"]
 
 #: Default coalescing window: long enough that one pipelined burst of
 #: client frames lands in one chunk, short enough to be invisible next
@@ -37,38 +39,6 @@ DEFAULT_MAX_DELAY_S = 0.005
 
 #: Hard cap on cells per coalesced chunk (memory/latency guard).
 DEFAULT_MAX_BATCH = 64
-
-
-def init_serve_worker(trace: bool = False) -> None:
-    """Pool initializer for the daemon's resident workers.
-
-    Unlike the one-shot grid pool (whose initializer pre-attaches one
-    manifest), a serve worker outlives many instances: it attaches
-    lazily per chunk (memoised per segment inside
-    :func:`repro.parallel.shm_store.attach`, which also evicts the
-    previous segment).  The worker still ties its lifetime to the
-    daemon's and drops mappings at exit.
-    """
-    import atexit
-
-    from repro import obs as worker_obs
-    from repro.parallel.shm_store import detach_all
-    from repro.parallel.worker import _die_with_parent
-
-    _die_with_parent()
-    if trace:
-        worker_obs.enable_tracing()
-    else:
-        worker_obs.disable_tracing()
-    worker_obs.reset()
-    atexit.register(detach_all)
-
-
-def _worker_ready() -> int:
-    """No-op task used to pre-spawn pool workers at daemon start."""
-    import os
-
-    return os.getpid()
 
 
 @dataclass
@@ -118,7 +88,6 @@ class Batcher:
         self.workers = max(int(workers), 1)
         self.max_delay_s = max_delay_s
         self.max_batch = max(int(max_batch), 1)
-        self._pool = None
         self._batches: dict[tuple, _PendingBatch] = {}
         self._dispatches: set = set()
         self.chunks_dispatched = 0
@@ -127,40 +96,19 @@ class Batcher:
     # -- pool lifecycle ------------------------------------------------
 
     def start(self) -> None:
-        """Create the resident spawn pool and pre-spawn its workers.
-
-        Paying interpreter+import startup here — not on the first
-        request — is what makes warm request latency independent of
-        process creation (the cold/warm gap BENCH_7's serve family
-        measures).
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        if self._pool is not None:
-            return
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=get_context("spawn"),
-            initializer=init_serve_worker,
-            initargs=(obs.tracing_enabled(),),
-        )
-        ready = [
-            self._pool.submit(_worker_ready) for _ in range(self.workers)
-        ]
-        for fut in ready:
-            fut.result()
+        """Pre-spawn the resident pool, so no request pays worker startup."""
+        shared_pool().executor(self.workers)
 
     async def shutdown(self) -> None:
-        """Flush pending batches, await in-flight chunks, stop the pool."""
+        """Flush pending batches and await in-flight chunks.
+
+        The pool is process-wide and shuts down at interpreter exit.
+        """
         for key in list(self._batches):
             self._flush(key)
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches),
                                  return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- request path --------------------------------------------------
 
@@ -171,8 +119,6 @@ class Batcher:
         compatibility key; the batch flushes when the coalescing window
         elapses or the batch cap is reached, whichever first.
         """
-        if self._pool is None:
-            raise ServeError(protocol.E_INTERNAL, "batcher pool not started")
         key = request.batch_key()
         batch = self._batches.get(key)
         if batch is None:
@@ -233,12 +179,13 @@ class Batcher:
                 args_fn=lambda: {"cells": len(cells)},
             ):
                 pairs, worker_rss, payload = await asyncio.wrap_future(
-                    self._pool.submit(
+                    shared_pool().executor(self.workers).submit(
                         run_chunk,
                         first.lease.manifest,
                         cells,
                         first.with_comm,
                         first.engine,
+                        obs.tracing_enabled(),
                     )
                 )
             obs.ingest_payload(payload)

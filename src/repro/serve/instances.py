@@ -171,13 +171,6 @@ class InstanceRegistry:
     def _resident_bytes_locked(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
-    def evictable_bytes(self) -> int:
-        """Bytes reclaimable right now (entries with zero leases)."""
-        with self._lock:
-            return sum(
-                e.nbytes for e in self._entries.values() if e.pins == 0
-            )
-
     def snapshot(self) -> dict:
         """Status view: per-entry occupancy plus the counters."""
         with self._lock:

@@ -16,14 +16,15 @@ Request lifecycle (spans in parentheses)::
              ──(serve.dispatch)── one chunk on the resident pool
              ──(serve.reply)── frame out, admission release
 
-Blocking work (instance builds, cache loads, pool startup) never runs
-on the event loop: registry operations are serialised onto a dedicated
-single-thread executor (lint rule RPL007 polices the coroutine bodies
-in this package).
+Blocking work (instance builds, cache loads) never runs on the event
+loop: registry operations run on a dedicated single-thread executor
+(RPL007 polices the coroutine bodies here).  The worker pool starts
+before the listener opens, and again only to replace a broken pool.
 
 Drain contract: on ``SIGTERM`` the daemon stops accepting, finishes
-every in-flight request, shuts the pool down, closes + unlinks every
-shared segment, removes its socket file, and exits 0 — afterwards
+every in-flight request, closes + unlinks every shared segment,
+removes its socket file, and exits 0 (the pool stops with the
+process) — afterwards
 ``repro doctor`` (and the ``list_orphan_segments`` probe behind it)
 must report zero orphans.
 """

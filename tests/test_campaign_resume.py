@@ -220,6 +220,36 @@ class TestLimit:
         with pytest.raises(CampaignError, match="limit"):
             run_campaign(spec, tmp_path / "neg.sqlite", limit=-1)
 
+    def test_negative_workers_rejected(self, tmp_path):
+        from repro.util.errors import CampaignError
+
+        spec = load_spec(_write_spec(tmp_path))
+        with pytest.raises(CampaignError, match="workers must be >= 0"):
+            run_campaign(spec, tmp_path / "neg.sqlite", workers=-1)
+
+    @pytest.mark.grid_smoke
+    def test_instance_groups_share_one_pool_spawn(self, tmp_path):
+        from repro import obs
+        from repro.parallel.pool import shared_pool
+
+        spec_path = tmp_path / "two_groups.toml"
+        spec_path.write_text(SPEC_TOML.replace("k = [2]", "k = [2, 4]"))
+        spec = load_spec(spec_path)
+        shared_pool().shutdown()
+        was = obs.tracing_enabled()
+        obs.enable_tracing()
+        obs.reset()
+        try:
+            stats = run_campaign(spec, tmp_path / "two.sqlite", workers=2)
+            counters = obs.drain_metrics()["counters"]
+        finally:
+            obs.reset()
+            if not was:
+                obs.disable_tracing()
+        assert stats.groups == 2
+        assert counters["parallel.pool.spawn"] == 1
+        assert counters["parallel.pool.reuse"] == 1
+
     def test_cli_limit_flag_reports_deferral(self, tmp_path):
         spec_path = _write_spec(tmp_path)
         store_path = tmp_path / "cli.sqlite"

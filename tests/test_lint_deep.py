@@ -99,6 +99,28 @@ class TestCleanTree:
         assert any(q.endswith(".init_worker") for q in roots)
         assert any(q.endswith(".run_chunk") for q in roots)
 
+    def test_the_one_pool_initializer_is_a_root(self):
+        # src/repro builds exactly one worker pool; the initializer every
+        # worker runs must be in the table RPL101 roots its walk at.
+        import ast
+
+        from repro.lint.dataflow import WORKER_ENTRYPOINT_NAMES
+
+        initializers = []
+        for path in iter_python_files([SRC_REPRO]):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                ) == "ProcessPoolExecutor":
+                    initializers += [
+                        kw.value.id for kw in node.keywords
+                        if kw.arg == "initializer"
+                    ]
+        assert initializers == ["init_worker"]
+        assert set(initializers) <= WORKER_ENTRYPOINT_NAMES
+
     def test_tree_has_engine_taker_call_sites(self):
         # RPL103 must actually be checking edges on the real tree.
         program = build_program(iter_python_files([SRC_REPRO]))

@@ -10,9 +10,19 @@ marked ``grid_smoke`` so CI runs them as a dedicated job:
     python -m pytest -q -m grid_smoke
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import pytest
 
 import repro.parallel.dispatcher as dispatcher_mod
+from repro import obs
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import resolve_workers, run_grid
 from repro.parallel import (
@@ -21,6 +31,7 @@ from repro.parallel import (
     list_orphan_segments,
     plan_batches,
     plan_chunks,
+    run_dispatch,
 )
 from repro.util.errors import ReproError
 
@@ -39,6 +50,40 @@ PRESET_PRIORITY = ExperimentConfig(
     algorithms=("dfds", "descendant_delays"),
     seeds=(0, 1, 2), name="grid-priority",
 )
+
+
+def _traced_counters(fn, expect):
+    """Run ``fn`` traced; check it returns ``expect``; return its counters."""
+    was = obs.tracing_enabled()
+    obs.enable_tracing()
+    obs.reset()
+    try:
+        assert fn() == expect
+        return obs.drain_metrics()["counters"]
+    finally:
+        obs.reset()
+        if not was:
+            obs.disable_tracing()
+
+
+def _pool_pids() -> set:
+    """Pids of this process's live multiprocessing children (pool workers)."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def traced_env():
+    was = obs.tracing_enabled()
+    obs.reset()
+    obs.enable_tracing()
+    yield obs
+    obs.reset()
+    if not was:
+        obs.disable_tracing()
+
+
+def _spawn_reasons(spans) -> list:
+    return [s.args["reason"] for s in spans if s.name == "worker.spawn"]
 
 
 @pytest.mark.grid_smoke
@@ -80,6 +125,93 @@ class TestLeaks:
         with pytest.raises(ReproError, match="unknown algorithm"):
             run_grid(crash, workers=2)
         assert list_orphan_segments() == []
+        # A task exception is not a dead worker: the resident pool stays
+        # usable and the next grid runs on it without a respawn.
+        serial = run_grid(PRESET_PRIORITY, with_comm=False, workers=1)
+        counters = _traced_counters(
+            lambda: run_grid(PRESET_PRIORITY, with_comm=False, workers=2),
+            expect=serial,
+        )
+        assert "parallel.pool.spawn" not in counters
+        assert counters["parallel.pool.reuse"] == 1
+
+
+@pytest.mark.grid_smoke
+class TestResidentPool:
+    """One resident pool per process: spawned once, replaced only when the
+    worker count changes or a worker died."""
+
+    def test_second_grid_reuses_workers(self, traced_env):
+        serial = run_grid(PRESET_PRIORITY, with_comm=False, workers=1)
+        assert run_grid(PRESET_PRIORITY, with_comm=False, workers=2) == serial
+        first = _pool_pids()
+        assert len(first) == 2  # the workers outlive the call
+        obs.reset()
+        assert run_grid(PRESET_PRIORITY, with_comm=False, workers=2) == serial
+        spans = obs.drain_spans()
+        counters = obs.drain_metrics()["counters"]
+        assert "parallel.pool.spawn" not in counters
+        assert counters["parallel.pool.reuse"] == 1
+        assert _spawn_reasons(spans) == []
+        assert _pool_pids() == first
+        driver = os.getpid()
+        assert {s.pid for s in spans if s.pid != driver} <= first
+
+    def test_sigkilled_worker_fails_loudly_then_respawns(self, traced_env):
+        serial = run_grid(PRESET_COMM, with_comm=True, workers=1)
+        run_grid(PRESET_COMM, with_comm=True, workers=2)
+        victims = _pool_pids()
+        assert len(victims) == 2
+
+        def killing_sink(index, summary):
+            # First result in: the other chunks are still pending, so
+            # killing the workers now strands them.
+            while victims:
+                os.kill(victims.pop(), signal.SIGKILL)
+
+        with pytest.raises(BrokenProcessPool):
+            run_dispatch(PRESET_COMM, True, 2, killing_sink)
+        assert list_orphan_segments() == []
+        obs.reset()
+        assert run_grid(PRESET_COMM, with_comm=True, workers=2) == serial
+        counters = obs.drain_metrics()["counters"]
+        assert counters["parallel.pool.spawn"] == 1
+        assert _spawn_reasons(obs.drain_spans()) == ["broken pool replaced"]
+
+    def test_worker_count_change_replaces_pool(self, traced_env):
+        serial = run_grid(PRESET_PRIORITY, with_comm=False, workers=1)
+        run_grid(PRESET_PRIORITY, with_comm=False, workers=2)
+        before = _pool_pids()
+        obs.reset()
+        assert run_grid(PRESET_PRIORITY, with_comm=False, workers=3) == serial
+        after = _pool_pids()
+        assert len(after) == 3 and not after & before
+        assert obs.drain_metrics()["counters"]["parallel.pool.spawn"] == 1
+        assert _spawn_reasons(obs.drain_spans()) == ["count changed"]
+
+    def test_tracker_stop_with_live_pool_exits(self):
+        # A driver that stops the resource tracker explicitly while the
+        # resident pool is alive must not hang: the workers dropped their
+        # inherited end of the tracker's pipe.
+        script = textwrap.dedent("""
+            from multiprocessing import resource_tracker
+            from repro.experiments.configs import ExperimentConfig
+            from repro.experiments.runner import run_grid
+
+            config = ExperimentConfig(
+                mesh="square2d", target_cells=120, k=2, m_values=(4,),
+                algorithms=("fifo",), seeds=(0, 1), name="tracker-stop",
+            )
+            run_grid(config, workers=2)
+            resource_tracker._resource_tracker._stop()
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestResolveWorkers:
@@ -98,6 +230,26 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
             resolve_workers(-1, ExperimentConfig())
+
+    def test_none_without_config_is_serial(self):
+        assert resolve_workers(None) == 1
+
+    @pytest.mark.grid_smoke
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_oversubscription_is_reported_not_clamped(
+        self, traced_env, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert resolve_workers(2, ExperimentConfig()) == 2
+        stats = DispatchStats()
+        run_grid(PRESET_PRIORITY, with_comm=False, workers=2, stats=stats)
+        assert stats.workers == 2
+        (dispatch,) = [s for s in obs.drain_spans() if s.name == "grid.dispatch"]
+        assert dispatch.args["workers"] == 2
+        assert dispatch.args["cpu_count"] == cpus
+        assert dispatch.args["oversubscribed"] is (cpus < 2)
+        counters = obs.drain_metrics()["counters"]
+        assert counters.get("parallel.oversubscribed", 0) == (cpus < 2)
 
 
 class TestChunkPlanning:

@@ -193,7 +193,7 @@ class TestTracingCompose:
 
         with SharedInstanceStore.publish(inst) as store:
             pairs, _rss, payload = run_chunk(
-                store.manifest, self._cells(), False, "auto"
+                store.manifest, self._cells(), False, "auto", True
             )
             detach_all()
         assert len(pairs) == 1
@@ -215,7 +215,7 @@ class TestTracingCompose:
             attach(store.manifest)  # clean memoised attach
             store._shm.buf[0] ^= 0xFF  # stray write mid-chunk
             with pytest.raises(SanitizerError) as excinfo:
-                run_chunk(store.manifest, self._cells(), False, "auto")
+                run_chunk(store.manifest, self._cells(), False, "auto", True)
             # The payload rode the exception across the (would-be)
             # process boundary; recovering it ingests the worker spans.
             assert traced.recover_payload_from_exception(excinfo.value)
