@@ -14,10 +14,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.core.dag import Dag
 from repro.util.errors import InvalidInstanceError
 
-__all__ = ["SweepInstance"]
+__all__ = ["SweepInstance", "unique_pairs"]
+
+
+def unique_pairs(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """Distinct ``(first[j], second[j])`` rows, sorted lexicographically.
+
+    Returns exactly ``np.unique(np.stack([first, second], axis=1), axis=0)``
+    — same rows, order and dtype — for ids in ``[0, n)``.  Each row packs
+    into one int64 key ``first * n + second``; because ``second < n`` the
+    key order is the row order, so one in-place sort and an
+    adjacent-difference mask replace ``np.unique``'s structured-row sort.
+    """
+    dtype = np.result_type(first, second)
+    if len(first) == 0:
+        return np.empty((0, 2), dtype=dtype)
+    key = np.asarray(first, dtype=np.int64) * n
+    key += second
+    key.sort()
+    keep = np.empty(len(key), dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    a, b = np.divmod(key[keep], n)
+    return np.stack([a, b], axis=1).astype(dtype, copy=False)
 
 
 class SweepInstance:
@@ -33,7 +56,8 @@ class SweepInstance:
     cell_graph_edges:
         Optional ``(E, 2)`` undirected mesh-adjacency edges, used by block
         partitioning and communication-cost accounting.  When omitted it is
-        derived as the union of all DAG edges (ignoring orientation).
+        derived as the union of all DAG edges (ignoring orientation), on
+        first read of :attr:`cell_graph_edges`.
     name:
         Optional label for reports.
     """
@@ -57,9 +81,11 @@ class SweepInstance:
         self.n_cells = int(n_cells)
         self.dags = list(dags)
         self.name = name
-        if cell_graph_edges is None:
-            cell_graph_edges = self._derive_cell_edges()
-        self.cell_graph_edges = np.asarray(cell_graph_edges, dtype=np.int64).reshape(-1, 2)
+        self._cell_edges: np.ndarray | None = (
+            None
+            if cell_graph_edges is None
+            else np.asarray(cell_graph_edges, dtype=np.int64).reshape(-1, 2)
+        )
         self._union_dag: Dag | None = None
         self._task_level: np.ndarray | None = None
 
@@ -93,14 +119,35 @@ class SweepInstance:
     # derived structure
     # ------------------------------------------------------------------
 
+    @property
+    def cell_graph_edges(self) -> np.ndarray:
+        """``(E, 2)`` int64 undirected cell-graph edges, ``lo < hi``.
+
+        The explicit edges given to the constructor, or else the union of
+        all DAG edges with orientation dropped, derived (and cached) on
+        first read.  Block partitioning and the export formats read it;
+        the schedulers do not, so building and scheduling an instance
+        never pays for the derivation.
+        """
+        if self._cell_edges is None:
+            self._cell_edges = self._derive_cell_edges()
+        return self._cell_edges
+
     def _derive_cell_edges(self) -> np.ndarray:
         chunks = [g.edges for g in self.dags if g.num_edges]
-        if not chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        e = np.concatenate(chunks, axis=0)
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+        n_in = sum(len(c) for c in chunks)
+        out = np.empty((0, 2), dtype=np.int64)
+        with obs.span(
+            "instance.cell_graph",
+            cat="build",
+            args_fn=lambda: {"n_edges_in": n_in, "n_edges_out": len(out)},
+        ):
+            if chunks:
+                e = np.concatenate(chunks, axis=0)
+                lo = np.minimum(e[:, 0], e[:, 1])
+                hi = np.maximum(e[:, 0], e[:, 1])
+                out = unique_pairs(lo, hi, self.n_cells)
+        return out
 
     def union_dag(self) -> Dag:
         """The DAG ``H`` over all ``n*k`` tasks, copies of a cell distinct.

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dag import Dag
-from repro.core.instance import SweepInstance
+from repro.core.instance import SweepInstance, unique_pairs
 from repro.instances.families import INSTANCE_FAMILIES, make_instance
 from repro.util.errors import ReproError
 from repro.util.rng import as_rng
@@ -136,8 +136,7 @@ def _random_dag(rng: np.random.Generator, n: int, edge_prob: float = 0.25) -> Da
     lo = np.where(fwd, u, v)
     hi = np.where(fwd, v, u)
     keep = rank[lo] < rank[hi]
-    edges = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return Dag(n, edges.astype(np.int64))
+    return Dag(n, unique_pairs(lo[keep], hi[keep], n))
 
 
 def _random_dags(seed: int, n: int = 12, k: int = 3, edge_prob: float = 0.25) -> SweepInstance:

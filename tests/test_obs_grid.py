@@ -18,8 +18,10 @@ import os
 import pytest
 
 from repro import obs
+from repro.cache import DIR_ENV
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import run_grid
+from repro.experiments.runner import clear_caches, run_grid
+from repro.parallel.pool import shared_pool
 
 TRACE_CONFIG = ExperimentConfig(
     mesh="tetonly", target_cells=250, k=4,
@@ -85,7 +87,13 @@ class TestMultiprocessTrace:
         keys = [obs.span_sort_key(s) for s in spans]
         assert keys == sorted(keys)
 
-    def test_span_structure_stable_across_runs(self, traced_env):
+    def test_span_structure_stable_across_runs(self, traced_env, monkeypatch):
+        # Start truly cold (no memoised instance, no disk cache, no
+        # resident pool) so the result does not depend on test order.
+        monkeypatch.delenv(DIR_ENV, raising=False)
+        clear_caches()
+        shared_pool().shutdown()
+        _, cold, _ = _traced_grid_run(workers=2)
         _, first, _ = _traced_grid_run(workers=2)
         _, second, _ = _traced_grid_run(workers=2)
         # Pids and timings differ run to run; the traced structure (how
@@ -97,7 +105,21 @@ class TestMultiprocessTrace:
                 counts[key] = counts.get(key, 0) + 1
             return counts
 
-        assert shape(first) == shape(second)
+        warm = shape(first)
+        assert warm == shape(second)
+        # The cold run differs only by the one-off instance build and
+        # pool spawn, each traced exactly once.
+        extra = {
+            key: n for key, n in shape(cold).items() if key not in warm
+        }
+        assert extra == {
+            ("build.edges", "build", 1): 1,
+            ("build.csr", "build", 1): 1,
+            ("build.levels", "build", 1): 1,
+            ("build.cycle_check", "build", 1): 1,
+            ("worker.spawn", "parallel", 1): 1,
+        }
+        assert {k: n for k, n in shape(cold).items() if k in warm} == warm
 
     def test_exported_chrome_trace_validates_from_disk(
         self, traced_env, tmp_path
