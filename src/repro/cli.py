@@ -624,7 +624,9 @@ def _cmd_bench(args) -> int:
 
     from repro.experiments.bench import (
         BENCH_SCHEMA_VERSION,
+        gate_table,
         run_bench,
+        validate_bench,
         write_bench,
     )
 
@@ -695,15 +697,20 @@ def _cmd_bench(args) -> int:
                 f"chunks={run['chunks_dispatched']:3d} "
                 f"rows {same} drain {drain}"
             )
+    print(gate_table(report))
+    problems = validate_bench(report)
     out = args.out or f"BENCH_{BENCH_SCHEMA_VERSION}.json"
-    if out == "-":
+    if problems:
+        print("error: invalid bench report: " + "; ".join(problems),
+              file=sys.stderr)
+    elif out == "-":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         write_bench(report, out)
         print(f"wrote {out}")
     if args.trace:
         _write_trace(args.trace)
-    return 0
+    return 1 if problems else 0
 
 
 def _cmd_trace(args) -> int:

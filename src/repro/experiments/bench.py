@@ -1,65 +1,48 @@
 """Engine + grid benchmark harness (``repro bench`` / ``scripts/run_bench.py``).
 
 Times the heap and vector list-scheduling engines on a fixed set of
-case families, benchmarks the parallel grid dispatcher, and writes a
-schema-versioned JSON report (``BENCH_7.json`` at the repo root).  The
-committed report is the perf-regression baseline: the batched engine
-must stay at least :data:`TARGET_SPEEDUP` times the heap engine's
-tasks/second on the large mesh family (the per-case ``speedup`` field:
-heap/vector wall time — heap/bucket in the committed ``BENCH_7.json``,
-written before the bucket engine was folded into the frontier kernel),
-``engine="auto"`` must resolve to (within 10% of) the fastest engine on
-every family (the per-case ``auto_engine`` field pins the routing), and
-the makespan checksums pin that the engines still produce identical
-schedules on the benchmark cases.  Schema v4 added per-phase wall-clock
-breakdowns (``phases``) to every case and grid run.  Schema v5 times three engines
-per case, slims the timed warm phase to the structural caches every
-engine shares, and gates worker memory: every parallel grid run must
-keep peak worker RSS under :data:`WORKER_RSS_CEILING_MB` and the best
-parallel run on a ``cpu_count >= 4`` machine must sustain
-:data:`TARGET_GRID_ROWS_FACTOR` times the committed v4 serial baseline
-of :data:`BASELINE_SERIAL_ROWS_PER_SEC` rows/second.
+case families, the parallel grid dispatcher, cold-vs-warm instance
+construction through the build cache, and the resident ``repro serve``
+daemon against cold process startup, and writes a schema-versioned JSON
+report (``BENCH_7.json`` at the repo root is the committed baseline).
 
-Schema v6 makes *construction* a first-class timed phase: every case's
-``phases`` dict splits instance acquisition into ``mesh_s`` (mesh
-generation, memoised), ``build_s`` (batched DAG construction via
-:func:`repro.sweeps.dag_builder.build_instance_batched`, which
-pre-materialises per-direction levels), and ``cache_s`` (time spent in
-the content-addressed build cache, 0 unless ``REPRO_CACHE_DIR`` is
-set), alongside the v5 ``setup_s``/``warm_s``.  Because the batched
-builder pre-pays the level structure, ``setup_s`` (rng + delays +
-assignment + priorities) must now beat the frozen v5 values in
-:data:`V5_SETUP_S` by :data:`TARGET_SETUP_SPEEDUP` on the gated
-families, and the per-family schedule checksums must equal the frozen
-v5 values in :data:`V5_CASE_CHECKSUMS` — construction got faster, the
-schedules did not change.  A new ``construction`` section times one
-cold build (mesh + batched build + cache store) against a warm
-cache-hit load of the same instance and must show byte-identical arrays
-at :data:`TARGET_WARM_CONSTRUCTION_SPEEDUP` or better; ``repro bench
---families chain,mesh_large`` writes a partial report (case subset, no
-grid section) for hot-path iteration.
+Report sections
+---------------
+* ``cases`` — per family: each engine's best-of-``repeats`` wall time
+  and tasks/second, the engine ``"auto"`` resolves to, the makespan, a
+  CRC32 ``checksum`` of the start array (a perf "win" that changed the
+  schedule cannot slip through), the heap/vector ``speedup``
+  (heap/bucket in ``BENCH_7.json``, written before the bucket engine
+  was folded into the frontier kernel), and a ``phases`` split:
+  ``mesh_s``/``build_s``/``cache_s`` (instance acquisition), ``setup_s``
+  (delays, assignment, priorities) and ``warm_s`` (only the structural
+  caches every engine shares).
+* ``grid`` — :func:`repro.experiments.runner.run_grid` at each count in
+  :data:`GRID_WORKERS`: rows/second, the chunk plan, peak worker RSS, a
+  bit-identical-to-serial flag and the dispatcher's phase split, next
+  to the machine's ``cpu_count``.
+* ``construction`` — one cold build-and-store against a warm cache-hit
+  load of the same instance, with a byte-identity flag.
+* ``serve`` — a cold one-shot process against a real daemon at each
+  count in :data:`SERVE_WORKERS`, served unbatched (p50/p95 latency)
+  and pipelined (batched throughput); every summary is cross-checked
+  against the serial runner.
 
-Schema v7 adds the ``serve`` section: the resident ``repro serve``
-daemon (:mod:`repro.serve`) against cold one-shot process startup.  One
-``cold`` row times a fresh interpreter running a single grid cell end
-to end (imports + mesh + DAG build + schedule); then, at each worker
-count in :data:`SERVE_WORKERS` (``(1, 2)`` in smoke mode), a real
-daemon subprocess serves the same cell family both *unbatched* (one
-request per round trip, recording p50/p95 latency) and *batched* (all
-requests pipelined on one connection so the daemon's coalescing window
-folds them into grid chunks).  Every served summary is cross-checked
-bit-identical to the serial :func:`repro.experiments.runner.run_cell`
-result, every daemon must drain cleanly on SIGTERM (exit 0, zero
-orphan segments), and a full report must show warm p50 latency at
-least :data:`TARGET_WARM_SERVE_SPEEDUP` times better than the cold
-one-shot — the daemon's reason to exist, gated.
+``--families`` writes a *partial* report (the selected cases only) for
+hot-path iteration; ``--smoke`` runs tiny sizes in seconds for CI.
+
+Gates
+-----
+Every acceptance check is one row of :data:`GATES`: a path into the
+report, a comparator and threshold, and a named applies-when predicate.
+:func:`evaluate_gates` walks the table and :func:`validate_bench`
+returns the failing rows.
 
 Engine families
 ---------------
 * ``mesh_large`` — the paper's S4 setting (tetrahedral mesh, k=24) at the
   top of its processor sweep (m=512).  Wide wavefronts; the frontier
-  kernel dominates here.  **This is the family the
-  ≥1.5x acceptance gate applies to.**
+  kernel dominates here (the ``mesh_large_speedup`` gate).
 * ``mesh_standard`` — same mesh at k=8, m=32: the narrow regime where
   ``engine="auto"`` keeps the heap.  Benchmarked so the crossover stays
   visible in the report.
@@ -68,28 +51,16 @@ Engine families
 * ``wide_layer`` — wide shallow DAGs: best case for frontier batching;
   ``engine="auto"`` routes this family to the vector engine.
 
-Grid family
------------
-The report's ``grid`` section times :func:`repro.experiments.runner.run_grid`
-on one experiment grid at each worker count in :data:`GRID_WORKERS`
-(``(1, 2)`` in smoke mode), recording rows/second, the dispatcher's chunk
-plan, and each worker's peak RSS — the zero-copy shared-instance plane's
-evidence that worker memory stays flat in the worker count.  Every
-parallel run is cross-checked bit-identical against the serial rows.
-``cpu_count`` is recorded alongside because wall-clock speedup is only
-meaningful when the machine actually has the cores: the
-:data:`TARGET_GRID_SPEEDUP` gate applies where ``cpu_count >= 4``.
-
 Mesh size scales with the ``REPRO_BENCH_CELLS`` environment variable
 (default 2000, the paper-scaled default of
-:class:`~repro.experiments.configs.ExperimentConfig`); ``--smoke`` runs a
-tiny grid in a couple of seconds for CI schema validation.
+:class:`~repro.experiments.configs.ExperimentConfig`).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 
 import numpy as np
@@ -97,6 +68,7 @@ import numpy as np
 from repro.core.assignment import random_cell_assignment
 from repro.core.list_scheduler import list_schedule
 from repro.core.random_delay import delayed_task_layers, draw_delays
+from repro.experiments.gates import Gate, evaluate, format_value
 from repro.util.rng import as_rng
 from repro.util.timing import Timer
 
@@ -106,19 +78,16 @@ __all__ = [
     "BENCH_ENGINES",
     "BENCH_FAMILIES",
     "DEFAULT_BENCH_CELLS",
+    "GATES",
     "GRID_WORKERS",
     "SERVE_WORKERS",
-    "TARGET_SPEEDUP",
-    "TARGET_GRID_SPEEDUP",
-    "TARGET_GRID_ROWS_FACTOR",
-    "TARGET_SETUP_SPEEDUP",
-    "TARGET_WARM_CONSTRUCTION_SPEEDUP",
-    "TARGET_WARM_SERVE_SPEEDUP",
     "V5_SETUP_S",
     "V5_CASE_CHECKSUMS",
     "WORKER_RSS_CEILING_MB",
     "bench_cases",
     "construction_bench",
+    "evaluate_gates",
+    "gate_table",
     "grid_bench",
     "grid_bench_config",
     "run_bench",
@@ -129,11 +98,6 @@ __all__ = [
 
 #: Bump when the report layout changes; the filename tracks it
 #: (``BENCH_<version>.json``) so stale baselines cannot be misread.
-#: v6: mesh/build/cache construction phases per case, the cold-vs-warm
-#: ``construction`` section, frozen-v5 setup and checksum gates, and
-#: partial (``--families``) reports.  v7: the ``serve`` section — cold
-#: one-shot process startup vs warm daemon p50/p95 latency, batched vs
-#: unbatched throughput at each :data:`SERVE_WORKERS` count.
 BENCH_SCHEMA_VERSION = 7
 
 #: Engines every bench case times and cross-checks.
@@ -142,15 +106,6 @@ BENCH_ENGINES = ("heap", "vector")
 #: Mesh size when ``REPRO_BENCH_CELLS`` is unset.
 DEFAULT_BENCH_CELLS = 2000
 
-#: Required vector/heap tasks-per-second ratio on the ``mesh_large``
-#: family (measured ~3x on the default size).
-TARGET_SPEEDUP = 1.5
-
-#: Required grid rows/second ratio, 4 workers vs serial — gated on the
-#: machine reporting ``cpu_count >= 4`` (a 1-core container cannot show
-#: wall-clock parallel speedup no matter how good the dispatcher is).
-TARGET_GRID_SPEEDUP = 1.5
-
 #: Peak worker RSS (MiB) no parallel grid run may exceed.  Spawn-context
 #: workers map the shared segment into a fresh interpreter, so their
 #: high-water mark is attach + scheduling working set — the fork-era
@@ -158,16 +113,10 @@ TARGET_GRID_SPEEDUP = 1.5
 WORKER_RSS_CEILING_MB = 150.0
 
 #: The committed schema-v4 serial grid throughput (rows/second) on the
-#: reference container — the absolute baseline the parallel gate below
-#: multiplies.  Frozen, not re-measured: re-deriving it each run would
-#: let a serial regression silently lower the parallel bar.
+#: reference container — the absolute baseline the ``grid_rows_factor``
+#: gate multiplies.  Frozen, not re-measured: re-deriving it each run
+#: would let a serial regression silently lower the parallel bar.
 BASELINE_SERIAL_ROWS_PER_SEC = 8.527
-
-#: Required ratio of the best parallel run's rows/second over
-#: :data:`BASELINE_SERIAL_ROWS_PER_SEC`, gated on ``cpu_count >= 4`` and
-#: full (non-smoke) reports — smoke grids are too small for absolute
-#: throughput to mean anything.
-TARGET_GRID_ROWS_FACTOR = 3.0
 
 #: Worker counts the grid family times in a full (non-smoke) run.
 GRID_WORKERS = (1, 2, 4)
@@ -176,19 +125,14 @@ GRID_WORKERS = (1, 2, 4)
 BENCH_FAMILIES = ("mesh_large", "mesh_standard", "chain", "wide_layer")
 
 #: Frozen schema-v5 ``setup_s`` values (reference container, default
-#: cells, seed 0) for the families the v6 construction gate covers.
-#: Frozen, not re-measured: the gate is "v6 setup beats what v5 paid",
+#: cells, seed 0) for the families the ``setup_vs_v5_*`` gates cover.
+#: Frozen, not re-measured: the gate is "setup beats what v5 paid",
 #: and re-deriving the baseline each run would erase the comparison.
 V5_SETUP_S = {"chain": 0.0988072, "mesh_large": 0.0013544}
 
-#: Required ratio of frozen v5 ``setup_s`` over the v6 value on the
-#: :data:`V5_SETUP_S` families — the batched builder pre-materialises
-#: the level structure, so priority setup must get >= 3x cheaper.
-TARGET_SETUP_SPEEDUP = 3.0
-
 #: Frozen schema-v5 per-family schedule checksums (default cells, seed
-#: 0).  Construction got faster; the schedules must not change — a v6
-#: full report with a different checksum is a regression, not noise.
+#: 0).  Construction got faster; the schedules must not change — a full
+#: report with a different checksum is a regression, not noise.
 V5_CASE_CHECKSUMS = {
     "mesh_large": 2811619235,
     "mesh_standard": 3513323258,
@@ -196,81 +140,17 @@ V5_CASE_CHECKSUMS = {
     "wide_layer": 3530932037,
 }
 
-#: Required cold/warm ratio in the ``construction`` section: loading a
-#: cache hit must be >= 5x faster than mesh + batched build + store.
-TARGET_WARM_CONSTRUCTION_SPEEDUP = 5.0
-
 #: Worker counts the ``serve`` section spins a daemon up at in a full
 #: (non-smoke) run; smoke runs ``(1, 2)``.
 SERVE_WORKERS = (1, 2, 4)
 
-#: Required cold-one-shot / warm-daemon-p50 latency ratio on full
-#: reports (the serve subsystem's acceptance gate): a resident daemon
-#: that cannot beat fresh-process startup by 5x is not paying rent.
-TARGET_WARM_SERVE_SPEEDUP = 5.0
 
-_REQUIRED_CASE_KEYS = {
-    "family",
-    "n_tasks",
-    "m",
-    "k",
-    "makespan",
-    "checksum",
-    "engines",
-    "auto_engine",
-    "phases",
-}
-_REQUIRED_ENGINE_KEYS = {"wall_time_s", "tasks_per_sec"}
-_REQUIRED_GRID_RUN_KEYS = {
-    "workers",
-    "wall_time_s",
-    "rows_per_sec",
-    "n_chunks",
-    "peak_worker_rss_mb",
-    "identical_to_serial",
-    "phases",
-}
-#: Per-phase keys required in every engine case's ``phases`` dict.
-#: v6 splits instance acquisition into mesh/build/cache next to the v5
-#: setup/warm pair.
-_REQUIRED_CASE_PHASES = {"mesh_s", "build_s", "cache_s", "setup_s", "warm_s"}
-#: Keys required in the report's ``construction`` section.
-_REQUIRED_CONSTRUCTION_KEYS = {
-    "family",
-    "cells",
-    "k",
-    "cold_s",
-    "warm_s",
-    "speedup",
-    "cache_hits",
-    "byte_identical",
-}
-#: Per-phase keys required in a parallel grid run's ``phases`` dict
-#: (mirrors :meth:`repro.parallel.DispatchStats.phases`); the serial
-#: baseline records ``{"run_s"}`` instead.
-_REQUIRED_PARALLEL_PHASES = {"warm_s", "plan_s", "publish_s", "dispatch_s", "wait_s"}
-#: Keys required in the report's v7 ``serve`` section.
-_REQUIRED_SERVE_KEYS = {
-    "config",
-    "cold",
-    "runs",
-    "warm_vs_cold_speedup",
-    "leaked_segments",
-}
-#: Keys required in every per-worker-count serve run.
-_REQUIRED_SERVE_RUN_KEYS = {
-    "workers",
-    "n_requests",
-    "warm_p50_ms",
-    "warm_p95_ms",
-    "unbatched_wall_s",
-    "unbatched_requests_per_sec",
-    "batched_wall_s",
-    "batched_requests_per_sec",
-    "chunks_dispatched",
-    "identical_to_serial",
-    "clean_exit",
-}
+def _bench_cells(smoke: bool, cells: int | None) -> int:
+    """The mesh size a run builds: ``cells``, else ``REPRO_BENCH_CELLS``,
+    else :data:`DEFAULT_BENCH_CELLS`; at most 120 in smoke mode."""
+    if cells is None:
+        cells = int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
+    return min(cells, 120) if smoke else cells
 
 
 def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
@@ -341,14 +221,10 @@ def bench_cases(
     cases must not pre-build.  ``families`` (names from
     :data:`BENCH_FAMILIES`) selects a subset for hot-path iteration.
     """
-    if cells is None:
-        cells = int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
-    if smoke:
-        cells = min(cells, 120)
     from repro.instances.families import identical_chains, wide_shallow
 
     mesh_m = 64 if smoke else 512
-    n = cells
+    n = _bench_cells(smoke, cells)
     cases = [
         {
             "family": "mesh_large",
@@ -427,10 +303,7 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
     from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
     from repro.sweeps.directions import directions_for_mesh
 
-    if cells is None:
-        cells = int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
-    if smoke:
-        cells = min(cells, 120)
+    cells = _bench_cells(smoke, cells)
     k = 8 if smoke else 24
     with tempfile.TemporaryDirectory(prefix="repro_bench_cache_") as tmp:
         with build_cache.override_dir(tmp):
@@ -474,21 +347,6 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
     }
 
 
-def _serve_case(smoke: bool, cells: int | None) -> tuple[dict, int, int]:
-    """The one grid cell the serve section times: ``(instance, m, n)``."""
-    if cells is None:
-        cells = int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
-    if smoke:
-        cells = min(cells, 120)
-    instance = {
-        "mesh": "tetonly",
-        "target_cells": int(cells),
-        "mesh_seed": 0,
-        "k": 4 if smoke else 8,
-    }
-    return instance, (8 if smoke else 32), (6 if smoke else 24)
-
-
 def _percentile_ms(samples: list, q: float) -> float:
     """Nearest-rank percentile of a list of seconds, in milliseconds."""
     ordered = sorted(samples)
@@ -527,7 +385,13 @@ def serve_bench(
     from repro.parallel import list_orphan_segments
     from repro.serve.client import ServeClient
 
-    instance, m, n_requests = _serve_case(smoke, cells)
+    instance = {
+        "mesh": "tetonly",
+        "target_cells": _bench_cells(smoke, cells),
+        "mesh_seed": 0,
+        "k": 4 if smoke else 8,
+    }
+    m, n_requests = (8, 6) if smoke else (32, 24)
     if workers_list is None:
         workers_list = (1, 2) if smoke else SERVE_WORKERS
     algorithm = "random_delay_priority"
@@ -684,9 +548,9 @@ def run_bench(
     grid_workers: tuple | None = None,
     families: list | tuple | None = None,
 ) -> dict:
-    """Run the full benchmark grid; returns the schema-v6 report dict.
+    """Run the full benchmark grid; returns the schema-v7 report dict.
 
-    Each case builds its instance through the timed v6 construction
+    Each case builds its instance through the timed construction
     phases, then times all of :data:`BENCH_ENGINES` on Algorithm 2's
     delayed-level priorities (best wall time over ``repeats`` runs,
     after one untimed warm-up run per engine) and cross-checks that the
@@ -696,18 +560,20 @@ def run_bench(
     ``grid`` section then times the parallel grid dispatcher at each
     count in ``grid_workers`` (default :data:`GRID_WORKERS`, or
     ``(1, 2)`` in smoke mode), the ``construction`` section times one
-    cold-vs-warm build through the content-addressed cache, and the v7
+    cold-vs-warm build through the content-addressed cache, and the
     ``serve`` section races the resident daemon against cold one-shot
-    process startup at each :data:`SERVE_WORKERS` count.
+    process startup at each :data:`SERVE_WORKERS` count.  ``cells``
+    records the mesh size every section built.
 
     ``families`` (a subset of :data:`BENCH_FAMILIES`) produces a
     *partial* report for hot-path iteration: only the selected case
-    families run, the grid and construction sections are omitted
-    (``None``), and ``partial: true`` is stamped so the validator skips
-    the full-report completeness checks.
+    families run, the grid, construction and serve sections are
+    ``None``, and ``partial: true`` is stamped so the gates that read
+    those sections do not apply.
     """
     if repeats is None:
         repeats = 1 if smoke else 5
+    cells = _bench_cells(smoke, cells)
     partial = families is not None
     cases_out = []
     for case in bench_cases(smoke=smoke, cells=cells, families=families):
@@ -778,11 +644,7 @@ def run_bench(
         "repeats": int(repeats),
         "seed": int(seed),
         "cpu_count": int(os.cpu_count() or 1),
-        "cells": int(
-            cells
-            if cells is not None
-            else int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
-        ),
+        "cells": int(cells),
         "cases": cases_out,
         "grid": (
             None
@@ -805,12 +667,11 @@ def grid_bench_config(smoke: bool = False, cells: int | None = None):
     """
     from repro.experiments.configs import ExperimentConfig
 
-    if cells is None:
-        cells = int(os.environ.get("REPRO_BENCH_CELLS", DEFAULT_BENCH_CELLS))
+    cells = _bench_cells(smoke, cells)
     if smoke:
         return ExperimentConfig(
             mesh="tetonly",
-            target_cells=min(cells, 120),
+            target_cells=cells,
             k=4,
             m_values=(8,),
             block_sizes=(1,),
@@ -910,316 +771,172 @@ def grid_bench(
     }
 
 
-def validate_bench(report: dict) -> list[str]:
-    """Schema + perf-gate check for a bench report; returns problems.
+def _vs_fastest(case: dict, engine: str) -> float:
+    """``engine``'s wall time on one case over the fastest engine's."""
+    walls = {name: e["wall_time_s"] for name, e in case["engines"].items()}
+    return walls[engine] / min(walls.values())
 
-    A *partial* report (``partial: true``, from ``--families``) skips
-    the family-completeness, grid, and construction checks — its cases
-    are still schema-checked and, at the reference size, still held to
-    the frozen-v5 setup and checksum gates.  The v5 gates apply only to
-    full-fidelity reports (non-smoke, default cells, seed 0): the frozen
-    numbers mean nothing at other sizes.
+
+#: Every acceptance gate of a bench report; a threshold lives here and
+#: nowhere else.  :func:`evaluate_gates` walks the table.
+GATES: tuple[Gate, ...] = (
+    Gate("schema_version", "schema_version", "==", BENCH_SCHEMA_VERSION,
+         "always", "the report layout this code writes"),
+    Gate("cpu_count", "cpu_count", ">=", 1, "always",
+         "the scaling gates key on the cores the run had"),
+    Gate("all_families", "families", "==", 0, "full",
+         "a full report times every family (value: how many are missing)",
+         lambda fams: len(set(BENCH_FAMILIES) - set(fams))),
+    Gate("case_counts", "cases[*].{n_tasks,makespan}", ">", 0, "always",
+         "every case scheduled a non-empty instance"),
+    Gate("case_engine_timings",
+         "cases[*].engines.{heap,vector}.{wall_time_s,tasks_per_sec}", ">", 0,
+         "always", "both engines were timed on every case"),
+    Gate("case_phases", "cases[*].phases.{mesh_s,build_s,cache_s,setup_s,warm_s}",
+         ">=", 0, "always", "construction, setup and warm are each timed"),
+    Gate("auto_engine_timed", "cases[*]", "==", True, "always",
+         "auto routes to an engine the case timed",
+         lambda case: case["auto_engine"] in case["engines"]),
+    Gate("auto_within_10pct", "cases", "<=", 1.10, "reference",
+         "auto's engine is within 10% of the fastest on every family",
+         lambda cases: [_vs_fastest(c, c["auto_engine"]) for c in cases
+                        if c["auto_engine"] in c["engines"]]),
+    Gate("mesh_large_speedup", "cases[family=mesh_large].speedup", ">=", 1.5,
+         "reference", "the frontier kernel beats the heap on wide wavefronts"),
+    Gate("wide_layer_frontier_fastest", "cases[family=wide_layer]", "<=", 1.0,
+         "reference", "the frontier engine is the fastest on wide_layer",
+         lambda case: _vs_fastest(case, "vector")),
+    Gate("wide_layer_warm", "cases[family=wide_layer].phases.warm_s", "<", 1.0,
+         "reference", "warm holds only the structural caches"),
+    *(Gate(f"setup_vs_v5_{fam}", f"cases[family={fam}].phases.setup_s", "<=",
+           v5 / 3.0, "reference", "setup is >= 3x cheaper than frozen v5")
+      for fam, v5 in V5_SETUP_S.items()),
+    *(Gate(f"checksum_{fam}", f"cases[family={fam}].checksum", "==", checksum,
+           "reference", "the schedule equals the frozen v5 one")
+      for fam, checksum in V5_CASE_CHECKSUMS.items()),
+    Gate("grid_serial_run", "grid.runs[workers=1].phases.run_s", ">=", 0,
+         "full", "the serial baseline the parallel runs are checked against"),
+    Gate("grid_parallel_phases", "grid.runs[workers!=1].phases."
+         "{warm_s,plan_s,publish_s,dispatch_s,wait_s}", ">=", 0, "full",
+         "at least one parallel run, with the dispatcher's phase split"),
+    Gate("grid_timings", "grid.runs[*].{wall_time_s,rows_per_sec}", ">", 0,
+         "full", "every grid run was timed"),
+    Gate("grid_identical", "grid.runs[*].identical_to_serial", "==", True,
+         "full", "parallel rows are bit-identical to the serial rows"),
+    Gate("worker_rss_ceiling", "grid.runs[workers!=1].peak_worker_rss_mb",
+         "in", (0.0, WORKER_RSS_CEILING_MB), "full",
+         "workers attach the shared instance, not a copy of the parent heap"),
+    Gate("worker_rss_flat", "grid.runs", "<=", 1.25, "full, not smoke",
+         "peak worker RSS stays flat across worker counts (max/min)",
+         lambda runs: max(rss := [run["peak_worker_rss_mb"] for run in runs
+                                  if run["workers"] != 1]) / min(rss)),
+    Gate("grid_speedup_4w", "grid.speedups.4", ">=", 1.5, "cpu_count >= 4",
+         "4 workers run the grid >= 1.5x faster than serial"),
+    Gate("grid_rows_factor", "grid.runs", ">=", 3.0 * BASELINE_SERIAL_ROWS_PER_SEC,
+         "cpu_count >= 4", "the best parallel run reaches 3x the v4 serial rows/s",
+         lambda runs: max(run["rows_per_sec"] for run in runs
+                          if run["workers"] != 1)),
+    Gate("grid_leaked_segments", "grid.leaked_segments", "==", 0, "full",
+         "the grid leaves no shared-memory segment behind", len),
+    Gate("construction_cache_hit", "construction.{cold_s,warm_s,cache_hits}", ">",
+         0, "full", "both loads were timed and the warm one is a counted hit"),
+    Gate("construction_byte_identical", "construction.byte_identical", "==", True,
+         "full", "the cache hit loads back the cold build's arrays"),
+    Gate("construction_speedup", "construction.speedup", ">=", 5.0,
+         "full, not smoke", "a cache hit loads >= 5x faster than a build"),
+    Gate("serve_cold", "serve.cold.{ok,wall_time_s}", ">", 0, "full",
+         "the cold one-shot was timed and printed the serial makespan"),
+    Gate("serve_timings", "serve.runs[*].{warm_p50_ms,warm_p95_ms,unbatched_wall_s,"
+         "unbatched_requests_per_sec,batched_wall_s,batched_requests_per_sec}",
+         ">", 0, "full", "every daemon run was timed"),
+    Gate("serve_identical", "serve.runs[*].identical_to_serial", "==", True,
+         "full", "served summaries equal the serial run_cell results"),
+    Gate("serve_clean_exit", "serve.runs[*].clean_exit", "==", True, "full",
+         "every daemon drains to exit 0 on SIGTERM"),
+    Gate("serve_coalesces", "serve.runs[*]", "<", 1.0, "full",
+         "pipelined chunks per request (a sequential request is one chunk)",
+         lambda run: (run["chunks_dispatched"] - run["n_requests"])
+         / run["n_requests"]),
+    Gate("all_serve_workers", "serve.runs", "==", 0, "full, not smoke",
+         "a daemon ran at every SERVE_WORKERS count (value: how many missing)",
+         lambda runs: len(set(SERVE_WORKERS) - {run["workers"] for run in runs})),
+    Gate("warm_serve_speedup", "serve.warm_vs_cold_speedup", ">=", 5.0,
+         "full, not smoke", "warm daemon p50 beats cold process startup 5x"),
+    Gate("serve_batching_pays", "serve.runs[*]", ">", 1.0, "full, not smoke",
+         "pipelined throughput beats one request per round trip",
+         lambda run: run["batched_requests_per_sec"]
+         / run["unbatched_requests_per_sec"]),
+    Gate("serve_leaked_segments", "serve.leaked_segments", "==", 0, "full",
+         "the daemons leave no shared-memory segment behind", len),
+)
+
+def _out_of_scope(report: dict) -> dict:
+    """Why each applies-when name excludes ``report`` (``""``: it applies).
+
+    ``reference`` is the fidelity the frozen numbers were measured at,
+    partial reports included; ``cpu_count >= 4`` is where a wall-clock
+    speedup can show.
     """
-    problems = []
+    partial = "partial report" if report.get("partial") else ""
+    smoke = "smoke report" if report.get("smoke") else ""
+    off_reference = next((
+        f"{key} {report.get(key)} != {want}"
+        for key, want in (("cells", DEFAULT_BENCH_CELLS), ("seed", 0))
+        if report.get(key) != want
+    ), "")
+    cpu = report.get("cpu_count")
+    cores = "" if isinstance(cpu, int) and cpu >= 4 else f"cpu_count {cpu} < 4"
+    return {
+        "always": "",
+        "full": partial,
+        "full, not smoke": partial or smoke,
+        "reference": smoke or off_reference,
+        "cpu_count >= 4": partial or smoke or cores,
+    }
+
+
+def evaluate_gates(report: dict) -> list[tuple[Gate, str, object]]:
+    """:func:`repro.experiments.gates.evaluate` over :data:`GATES`.
+
+    A gate skips when its ``when`` name excludes the report, or when it
+    reads a case family the report did not run (``all_families`` holds
+    full reports to every family).
+    """
     if not isinstance(report, dict):
-        return ["report is not a dict"]
-    if report.get("schema_version") != BENCH_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version is {report.get('schema_version')!r}, "
-            f"expected {BENCH_SCHEMA_VERSION}"
-        )
-    if not isinstance(report.get("cpu_count"), int) or report.get(
-        "cpu_count", 0
-    ) < 1:
-        problems.append("cpu_count is missing or not a positive int")
-    partial = bool(report.get("partial"))
-    gate_v5 = (
-        not report.get("smoke")
-        and report.get("cells") == DEFAULT_BENCH_CELLS
-        and report.get("seed") == 0
-    )
-    cases = report.get("cases")
-    if not isinstance(cases, list) or not cases:
-        return problems + ["cases is missing or empty"]
-    families = set()
-    for i, case in enumerate(cases):
-        missing = _REQUIRED_CASE_KEYS - set(case)
-        if missing:
-            problems.append(f"case {i} missing keys: {sorted(missing)}")
-            continue
-        fam = case["family"]
-        families.add(fam)
-        # auto must route to an engine this report timed (BENCH_7.json
-        # predates the bucket engine's removal and routes mesh_large there).
-        if case["auto_engine"] not in case["engines"]:
-            problems.append(
-                f"case {i} auto_engine is {case['auto_engine']!r}, "
-                f"expected one of the timed engines {sorted(case['engines'])}"
-            )
-        problems.extend(
-            _validate_phases(
-                case["phases"], _REQUIRED_CASE_PHASES, f"case {i}"
-            )
-        )
-        if gate_v5 and fam in V5_SETUP_S:
-            setup_s = case["phases"].get("setup_s")
-            ceiling = V5_SETUP_S[fam] / TARGET_SETUP_SPEEDUP
-            if isinstance(setup_s, (int, float)) and setup_s > ceiling:
-                problems.append(
-                    f"case {i} ({fam}) setup_s {setup_s:.6f}s misses the "
-                    f"{TARGET_SETUP_SPEEDUP:g}x gate vs the frozen v5 "
-                    f"{V5_SETUP_S[fam]:.6f}s (ceiling {ceiling:.6f}s)"
-                )
-        if gate_v5 and fam in V5_CASE_CHECKSUMS:
-            if case["checksum"] != V5_CASE_CHECKSUMS[fam]:
-                problems.append(
-                    f"case {i} ({fam}) checksum {case['checksum']} differs "
-                    f"from the frozen v5 value {V5_CASE_CHECKSUMS[fam]} — "
-                    "construction changed the schedules"
-                )
-        for eng in BENCH_ENGINES:
-            entry = case["engines"].get(eng)
-            if entry is None:
-                problems.append(f"case {i} ({fam}) lacks {eng}")
-                continue
-            missing = _REQUIRED_ENGINE_KEYS - set(entry)
-            if missing:
-                problems.append(
-                    f"case {i} engine {eng} missing keys: {sorted(missing)}"
-                )
-            elif entry["wall_time_s"] <= 0 or entry["tasks_per_sec"] <= 0:
-                problems.append(
-                    f"case {i} engine {eng} has non-positive timings"
-                )
-    if partial:
-        unknown = families - set(BENCH_FAMILIES)
-        if unknown:
-            problems.append(
-                f"partial report has unknown families {sorted(unknown)}"
-            )
-        return problems
-    for fam in BENCH_FAMILIES:
-        if fam not in families:
-            problems.append(f"family {fam!r} missing from report")
-    problems.extend(
-        _validate_grid(
-            report.get("grid"),
-            smoke=bool(report.get("smoke")),
-            cpu_count=report.get("cpu_count", 0),
-        )
-    )
-    problems.extend(
-        _validate_construction(
-            report.get("construction"), smoke=bool(report.get("smoke"))
-        )
-    )
-    problems.extend(
-        _validate_serve(report.get("serve"), smoke=bool(report.get("smoke")))
-    )
-    return problems
+        report = {}
+    scope = _out_of_scope(report)
+    families = report.get("families") or ()
+
+    def skip(gate: Gate) -> str:
+        family = re.search(r"family=(\w+)", gate.path)
+        if not scope[gate.when] and family and family[1] not in families:
+            return f"{family[1]} not benchmarked"
+        return scope[gate.when]
+
+    return evaluate(GATES, report, skip)
 
 
-def _validate_serve(section, smoke: bool = True) -> list[str]:
-    """Schema + gate check for the report's v7 ``serve`` section.
-
-    Every run must be bit-identical to the serial baseline, have served
-    at least one dispatched chunk, and have drained to exit 0; full
-    (non-smoke) reports must additionally cover every
-    :data:`SERVE_WORKERS` count and beat cold process startup by
-    :data:`TARGET_WARM_SERVE_SPEEDUP` on warm p50 latency.
-    """
-    if not isinstance(section, dict):
-        return ["serve section is missing or not a dict"]
-    missing = _REQUIRED_SERVE_KEYS - set(section)
-    if missing:
-        return [f"serve missing keys: {sorted(missing)}"]
-    problems = []
-    cold = section["cold"]
-    if not isinstance(cold, dict) or not isinstance(
-        cold.get("wall_time_s"), (int, float)
-    ) or cold["wall_time_s"] <= 0:
-        problems.append("serve cold run is missing or has non-positive timing")
-    elif not cold.get("ok"):
-        problems.append(
-            "serve cold one-shot run failed or returned the wrong makespan"
-        )
-    runs = section["runs"]
-    if not isinstance(runs, list) or not runs:
-        return problems + ["serve.runs is missing or empty"]
-    worker_counts = set()
-    for i, run in enumerate(runs):
-        missing = _REQUIRED_SERVE_RUN_KEYS - set(run)
-        if missing:
-            problems.append(f"serve run {i} missing keys: {sorted(missing)}")
-            continue
-        worker_counts.add(run["workers"])
-        for key in (
-            "warm_p50_ms",
-            "warm_p95_ms",
-            "unbatched_wall_s",
-            "unbatched_requests_per_sec",
-            "batched_wall_s",
-            "batched_requests_per_sec",
-        ):
-            value = run[key]
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(
-                    f"serve run {i} {key} is not a positive number"
-                )
-        if run["n_requests"] < 1:
-            problems.append(f"serve run {i} made no requests")
-        if run["chunks_dispatched"] < 1:
-            problems.append(f"serve run {i} dispatched no chunks")
-        if not run["identical_to_serial"]:
-            problems.append(
-                f"serve run {i} (workers={run['workers']}) summaries "
-                "differ from the serial run_cell baseline"
-            )
-        if not run["clean_exit"]:
-            problems.append(
-                f"serve run {i} (workers={run['workers']}) daemon did "
-                "not drain to exit 0 on SIGTERM"
-            )
-    if not smoke:
-        missing_workers = set(SERVE_WORKERS) - worker_counts
-        if missing_workers:
-            problems.append(
-                f"serve section lacks worker counts {sorted(missing_workers)}"
-            )
-        speedup = section["warm_vs_cold_speedup"]
-        if not isinstance(speedup, (int, float)):
-            problems.append("serve warm_vs_cold_speedup is not a number")
-        elif speedup < TARGET_WARM_SERVE_SPEEDUP:
-            problems.append(
-                f"warm serve speedup {speedup:.1f}x is below the "
-                f"{TARGET_WARM_SERVE_SPEEDUP:g}x gate vs cold process startup"
-            )
-    if section.get("leaked_segments"):
-        problems.append(
-            f"serve run leaked shm segments: {section['leaked_segments']}"
-        )
-    return problems
+def validate_bench(report: dict) -> list[str]:
+    """The failing :data:`GATES` rows of ``report``, one line each; ``[]``
+    when every gate that applies passes."""
+    return [
+        f"{gate.name}: {format_value(value)} vs {gate.op} "
+        f"{format_value(gate.threshold)} — {gate.reason}"
+        for gate, status, value in evaluate_gates(report)
+        if status == "fail"
+    ]
 
 
-def _validate_construction(section, smoke: bool = True) -> list[str]:
-    """Schema + gate check for the report's ``construction`` section.
-
-    The warm load must be a *proven* cache hit (``cache_hits >= 1``)
-    with byte-identical arrays in every report; the
-    :data:`TARGET_WARM_CONSTRUCTION_SPEEDUP` ratio gate applies to full
-    (non-smoke) reports, where the cold build is big enough to measure.
-    """
-    if not isinstance(section, dict):
-        return ["construction section is missing or not a dict"]
-    missing = _REQUIRED_CONSTRUCTION_KEYS - set(section)
-    if missing:
-        return [f"construction missing keys: {sorted(missing)}"]
-    problems = []
-    if section["cold_s"] <= 0 or section["warm_s"] <= 0:
-        problems.append("construction has non-positive timings")
-    if not section["byte_identical"]:
-        problems.append(
-            "construction warm load is not byte-identical to the cold build"
+def gate_table(report: dict) -> str:
+    """Every gate's status on ``report`` as an aligned text table."""
+    lines = [f"{'gate':28s} {'status':30s} {'value':>11s}  threshold"]
+    for gate, status, value in evaluate_gates(report):
+        shown = "" if status.startswith("skipped") else format_value(value)
+        lines.append(
+            f"{gate.name:28s} {status:30s} {shown:>11s}  "
+            f"{gate.op} {format_value(gate.threshold)}"
         )
-    if section["cache_hits"] < 1:
-        problems.append(
-            "construction recorded no cache hit on the warm load"
-        )
-    if not smoke and section["speedup"] < TARGET_WARM_CONSTRUCTION_SPEEDUP:
-        problems.append(
-            f"warm construction speedup {section['speedup']:.1f}x is below "
-            f"the {TARGET_WARM_CONSTRUCTION_SPEEDUP:g}x gate"
-        )
-    return problems
-
-
-def _validate_phases(phases, required: set, where: str) -> list[str]:
-    """Check one ``phases`` dict: required keys, non-negative numbers."""
-    if not isinstance(phases, dict) or not phases:
-        return [f"{where} phases is missing or empty"]
-    problems = []
-    missing = required - set(phases)
-    if missing:
-        problems.append(f"{where} phases missing keys: {sorted(missing)}")
-    for key, value in phases.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(
-                f"{where} phase {key!r} is not a non-negative number"
-            )
-    return problems
-
-
-def _validate_grid(grid, smoke: bool = True, cpu_count: int = 0) -> list[str]:
-    """Schema + gate check for the report's ``grid`` section.
-
-    Beyond the per-run schema, parallel runs must keep peak worker RSS
-    under :data:`WORKER_RSS_CEILING_MB`, and a full (non-smoke) report
-    on a ``cpu_count >= 4`` machine must show at least one parallel run
-    sustaining :data:`TARGET_GRID_ROWS_FACTOR` times
-    :data:`BASELINE_SERIAL_ROWS_PER_SEC` rows/second.
-    """
-    if not isinstance(grid, dict):
-        return ["grid section is missing or not a dict"]
-    problems = []
-    runs = grid.get("runs")
-    if not isinstance(runs, list) or not runs:
-        return ["grid.runs is missing or empty"]
-    worker_counts = set()
-    best_parallel_rows = 0.0
-    for i, run in enumerate(runs):
-        missing = _REQUIRED_GRID_RUN_KEYS - set(run)
-        if missing:
-            problems.append(f"grid run {i} missing keys: {sorted(missing)}")
-            continue
-        worker_counts.add(run["workers"])
-        if run["wall_time_s"] <= 0 or run["rows_per_sec"] <= 0:
-            problems.append(f"grid run {i} has non-positive timings")
-        required_phases = (
-            {"run_s"} if run["workers"] == 1 else _REQUIRED_PARALLEL_PHASES
-        )
-        problems.extend(
-            _validate_phases(
-                run["phases"], required_phases, f"grid run {i}"
-            )
-        )
-        if not run["identical_to_serial"]:
-            problems.append(
-                f"grid run {i} (workers={run['workers']}) rows differ "
-                "from the serial baseline"
-            )
-        if run["workers"] > 1:
-            best_parallel_rows = max(best_parallel_rows, run["rows_per_sec"])
-            if run["peak_worker_rss_mb"] <= 0:
-                problems.append(
-                    f"grid run {i} (workers={run['workers']}) lacks worker RSS"
-                )
-            elif run["peak_worker_rss_mb"] >= WORKER_RSS_CEILING_MB:
-                problems.append(
-                    f"grid run {i} (workers={run['workers']}) peak worker "
-                    f"RSS {run['peak_worker_rss_mb']:.1f} MiB breaches the "
-                    f"{WORKER_RSS_CEILING_MB:.0f} MiB ceiling"
-                )
-    if 1 not in worker_counts:
-        problems.append("grid section lacks the serial (workers=1) baseline")
-    if len(worker_counts) < 2:
-        problems.append("grid section needs at least one parallel run")
-    target_rows = TARGET_GRID_ROWS_FACTOR * BASELINE_SERIAL_ROWS_PER_SEC
-    if (
-        not smoke
-        and cpu_count >= 4
-        and worker_counts - {1}
-        and best_parallel_rows < target_rows
-    ):
-        problems.append(
-            f"best parallel grid throughput {best_parallel_rows:.2f} rows/s "
-            f"is below the {target_rows:.2f} rows/s gate "
-            f"({TARGET_GRID_ROWS_FACTOR}x the v4 serial baseline)"
-        )
-    if grid.get("leaked_segments"):
-        problems.append(
-            f"grid run leaked shm segments: {grid['leaked_segments']}"
-        )
-    return problems
+    return "\n".join(lines)
 
 
 def write_bench(report: dict, path: str) -> None:

@@ -95,6 +95,14 @@ class TestDocReferences:
             assert base in text
             assert base in ALGORITHMS
 
+    def test_bench_gates_in_testing_doc(self):
+        """Every bench gate row appears in the testing guide's gate table."""
+        from repro.experiments.bench import GATES
+
+        text = (ROOT / "docs" / "testing.md").read_text()
+        missing = [gate.name for gate in GATES if f"`{gate.name}`" not in text]
+        assert not missing, f"docs/testing.md lacks gates {missing}"
+
     def test_design_experiment_benches_exist(self):
         """Every bench target DESIGN.md names must be a real file."""
         text = (ROOT / "DESIGN.md").read_text()
