@@ -143,17 +143,13 @@ def theorem3_layer_times(inst, m: int, seed=None) -> dict:
     additive term ``rho = log m * log log log m`` it must be O() of,
     plus the run's totals.
     """
-    from repro.core.assignment import random_cell_assignment
     from repro.core.improved import preprocess_levels
     from repro.core.layered import layer_makespans
-    from repro.core.random_delay import draw_delays
-    from repro.util.rng import as_rng
+    from repro.core.random_delay import draw_randomness
 
-    rng = as_rng(seed)
     pre = preprocess_levels(inst, m)
-    delays = draw_delays(inst.k, rng)
+    delays, assignment = draw_randomness(inst, m, seed)
     layers = pre + np.repeat(delays, inst.n_cells)
-    assignment = random_cell_assignment(inst.n_cells, m, rng)
     proc = np.tile(assignment, inst.k)
     y = layer_makespans(layers, proc, m).astype(np.float64)
     sizes = np.bincount(layers, minlength=y.size).astype(np.float64)

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assignment import random_cell_assignment
+from repro import obs
 from repro.core.instance import SweepInstance
 from repro.core.layered import schedule_layers_sequentially
 from repro.core.list_scheduler import list_schedule, list_schedule_unassigned
-from repro.core.random_delay import draw_delays
+from repro.core.random_delay import draw_randomness
 from repro.core.schedule import Schedule
 from repro.util.errors import InvalidScheduleError
-from repro.util.rng import as_rng
 
 __all__ = ["improved_random_delay_schedule", "preprocess_levels"]
 
@@ -75,27 +74,26 @@ def improved_random_delay_schedule(
         preprocessing is deterministic, so experiments sweeping seeds can
         share it).
     """
-    rng = as_rng(seed)
-    if preprocessed is None:
-        preprocessed = preprocess_levels(inst, m, engine=engine)
-    else:
-        preprocessed = np.asarray(preprocessed, dtype=np.int64)
-        if preprocessed.shape != (inst.n_tasks,):
-            raise InvalidScheduleError(
-                f"preprocessed has shape {preprocessed.shape}, "
-                f"expected ({inst.n_tasks},)"
-            )
-    if delays is None:
-        delays = draw_delays(inst.k, rng)
-    else:
-        delays = np.asarray(delays, dtype=np.int64)
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-
-    layers = preprocessed + np.repeat(delays, inst.n_cells)
+    name = "improved_random_delay" + ("_priority" if priorities else "")
+    delays, assignment = draw_randomness(inst, m, seed, delays, assignment)
+    delays = np.asarray(delays, dtype=np.int64)
+    with obs.span(
+        "heuristics.priority",
+        cat="sched",
+        args_fn=lambda: {"algorithm": name, "n_tasks": inst.n_tasks},
+    ):
+        if preprocessed is None:
+            preprocessed = preprocess_levels(inst, m, engine=engine)
+        else:
+            preprocessed = np.asarray(preprocessed, dtype=np.int64)
+            if preprocessed.shape != (inst.n_tasks,):
+                raise InvalidScheduleError(
+                    f"preprocessed has shape {preprocessed.shape}, "
+                    f"expected ({inst.n_tasks},)"
+                )
+        layers = preprocessed + np.repeat(delays, inst.n_cells)
     meta = {
-        "algorithm": "improved_random_delay"
-        + ("_priority" if priorities else ""),
+        "algorithm": name,
         "delays": np.asarray(delays).copy(),
         "preprocess_makespan": int(preprocessed.max()) + 1 if preprocessed.size else 0,
     }

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.core.assignment import random_cell_assignment
 from repro.core.instance import SweepInstance
 from repro.core.layered import schedule_layers_sequentially
@@ -26,12 +27,41 @@ from repro.core.schedule import Schedule
 from repro.util.errors import InvalidScheduleError
 from repro.util.rng import as_rng
 
-__all__ = ["random_delay_schedule", "draw_delays", "delayed_task_layers"]
+__all__ = [
+    "random_delay_schedule",
+    "draw_delays",
+    "draw_randomness",
+    "delayed_task_layers",
+]
 
 
 def draw_delays(k: int, rng) -> np.ndarray:
     """Draw ``X_i ~ Uniform{0..k-1}`` for every direction (paper step 1)."""
     return rng.integers(0, max(k, 1), size=k, dtype=np.int64)
+
+
+def draw_randomness(
+    inst: SweepInstance,
+    m: int,
+    seed=None,
+    delays: np.ndarray | None = None,
+    assignment: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill in the delays, then the assignment, unless the caller pinned them.
+
+    Both draws come from one ``Generator``, in that order.  Pinned delays
+    must have shape ``(k,)``.
+    """
+    rng = as_rng(seed)
+    if delays is None:
+        delays = draw_delays(inst.k, rng)
+    elif np.shape(delays) != (inst.k,):
+        raise InvalidScheduleError(
+            f"delays has shape {np.shape(delays)}, expected ({inst.k},)"
+        )
+    if assignment is None:
+        assignment = random_cell_assignment(inst.n_cells, m, rng)
+    return delays, assignment
 
 
 def delayed_task_layers(inst: SweepInstance, delays: np.ndarray) -> np.ndarray:
@@ -71,12 +101,13 @@ def random_delay_schedule(
         runs a list scheduler, so the value is unused.
     """
     del engine
-    rng = as_rng(seed)
-    if delays is None:
-        delays = draw_delays(inst.k, rng)
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-    layers = delayed_task_layers(inst, delays)
+    delays, assignment = draw_randomness(inst, m, seed, delays, assignment)
+    with obs.span(
+        "heuristics.priority",
+        cat="sched",
+        args_fn=lambda: {"algorithm": "random_delay", "n_tasks": inst.n_tasks},
+    ):
+        layers = delayed_task_layers(inst, delays)
     return schedule_layers_sequentially(
         inst,
         m,

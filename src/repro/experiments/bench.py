@@ -65,11 +65,9 @@ import zlib
 
 import numpy as np
 
-from repro.core.assignment import random_cell_assignment
 from repro.core.list_scheduler import list_schedule
-from repro.core.random_delay import delayed_task_layers, draw_delays
+from repro.core.random_delay import delayed_task_layers, draw_randomness
 from repro.experiments.gates import Gate, evaluate, format_value
-from repro.util.rng import as_rng
 from repro.util.timing import Timer
 
 __all__ = [
@@ -580,9 +578,7 @@ def run_bench(
         inst, build_phases = case["build"]()
         m = case["m"]
         with Timer() as t_setup:
-            rng = as_rng(seed)
-            delays = draw_delays(inst.k, rng)
-            assignment = random_cell_assignment(inst.n_cells, m, rng)
+            delays, assignment = draw_randomness(inst, m, seed)
             priority = delayed_task_layers(inst, delays)
         # Warm only the structural caches shared by every engine (CSR,
         # in-degrees, level structure); engine-private caches are built

@@ -168,15 +168,11 @@ def _check_engine_equivalence(
     kernel regardless of width, and reports any deviation from the heap
     reference.
     """
-    from repro.core.assignment import random_cell_assignment
     from repro.core.list_scheduler import list_schedule, list_schedule_unassigned
-    from repro.core.random_delay import delayed_task_layers, draw_delays
-    from repro.util.rng import as_rng
+    from repro.core.random_delay import delayed_task_layers, draw_randomness
 
     out: list[Violation] = []
-    rng = as_rng(seed)
-    delays = draw_delays(inst.k, rng)
-    assignment = random_cell_assignment(inst.n_cells, m, rng)
+    delays, assignment = draw_randomness(inst, m, seed)
     gamma = delayed_task_layers(inst, delays)
     for pname, prio in (("uniform", None), ("delayed-level", gamma)):
         try:

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assignment import random_cell_assignment
 from repro.core.instance import SweepInstance
-from repro.core.list_scheduler import list_schedule
-from repro.core.random_delay import draw_delays
+from repro.core.priority_delay import priority_delay_schedule
 from repro.core.schedule import Schedule
-from repro.heuristics._combine import lex_delay_priority
-from repro.util.rng import as_rng
 
 __all__ = ["blevel_priorities", "blevel_schedule"]
 
@@ -43,25 +39,9 @@ def blevel_schedule(
     engine: str = "auto",
 ) -> Schedule:
     """List scheduling with b-level priorities (higher runs first)."""
-    rng = as_rng(seed)
-    b = blevel_priorities(inst)
-    if with_delays:
-        if delays is None:
-            delays = draw_delays(inst.k, rng)
-        prio = lex_delay_priority(inst, delays, b, higher_is_better=True)
-    else:
-        delays = np.zeros(inst.k, dtype=np.int64)
-        prio = -b
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-    return list_schedule(
-        inst,
-        m,
-        assignment,
-        priority=prio,
-        meta={
-            "algorithm": "blevel" + ("_delays" if with_delays else ""),
-            "delays": np.asarray(delays).copy(),
-        },
-        engine=engine,
+    return priority_delay_schedule(
+        inst, m, seed=seed, assignment=assignment, delays=delays,
+        with_delays=with_delays, engine=engine,
+        name="blevel_delays" if with_delays else "blevel",
+        key=lambda inst, _assignment: blevel_priorities(inst),
     )

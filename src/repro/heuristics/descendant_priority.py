@@ -2,31 +2,17 @@
 
 Each task ``(v, i)`` is prioritized by the number of its descendants in
 its own direction DAG ``G_i``; tasks with *more* descendants run first
-(they unlock the most downstream work).
-
-Random-delay combination
-------------------------
-The paper reports that "combining our random delays technique with some
-of these heuristics performs even better" but does not spell out the
-combination rule.  We use the natural lexicographic rule: the delayed
-level ``level + X_i`` is the primary key (so whole directions are offset
-against each other, exactly the contention-resolution effect of
-Algorithm 2) and the descendant count breaks ties within a delayed level.
-This reduces to the pure heuristic when all delays are forced to zero and
-to Algorithm 2 when the secondary key is dropped — see DESIGN.md.
+(they unlock the most downstream work).  With random delays the count
+breaks ties within a delayed level (see :mod:`repro.core.priority_delay`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assignment import random_cell_assignment
 from repro.core.instance import SweepInstance
-from repro.core.list_scheduler import list_schedule
-from repro.core.random_delay import draw_delays
+from repro.core.priority_delay import priority_delay_schedule
 from repro.core.schedule import Schedule
-from repro.heuristics._combine import lex_delay_priority
-from repro.util.rng import as_rng
 
 __all__ = ["descendant_priority_schedule", "descendant_counts_per_task"]
 
@@ -52,33 +38,14 @@ def descendant_priority_schedule(
 ) -> Schedule:
     """List scheduling with descendant-count priorities (± random delays).
 
-    Parameters
-    ----------
-    with_delays:
-        Combine with random delays lexicographically (see module docs).
-    exact_counts:
-        Forwarded to :meth:`Dag.descendant_counts`; ``None`` auto-selects
-        exact bitset counting for small graphs.
+    ``exact_counts`` is forwarded to :meth:`Dag.descendant_counts`;
+    ``None`` auto-selects exact bitset counting for small graphs.
     """
-    rng = as_rng(seed)
-    desc = descendant_counts_per_task(inst, exact=exact_counts)
-    if with_delays:
-        if delays is None:
-            delays = draw_delays(inst.k, rng)
-        prio = lex_delay_priority(inst, delays, desc, higher_is_better=True)
-    else:
-        delays = np.zeros(inst.k, dtype=np.int64)
-        prio = -desc  # more descendants == smaller key == runs first
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-    return list_schedule(
-        inst,
-        m,
-        assignment,
-        priority=prio,
-        meta={
-            "algorithm": "descendant" + ("_delays" if with_delays else ""),
-            "delays": np.asarray(delays).copy(),
-        },
-        engine=engine,
+    return priority_delay_schedule(
+        inst, m, seed=seed, assignment=assignment, delays=delays,
+        with_delays=with_delays, engine=engine,
+        name="descendant_delays" if with_delays else "descendant",
+        key=lambda inst, _assignment: descendant_counts_per_task(
+            inst, exact=exact_counts
+        ),
     )

@@ -25,10 +25,8 @@ import numpy as np
 
 from repro.core.assignment import random_cell_assignment
 from repro.core.instance import SweepInstance
-from repro.core.list_scheduler import list_schedule
-from repro.core.random_delay import draw_delays
+from repro.core.priority_delay import priority_delay_schedule
 from repro.core.schedule import Schedule
-from repro.heuristics._combine import lex_delay_priority
 from repro.util.rng import as_rng
 
 __all__ = ["dfds_priorities", "dfds_schedule"]
@@ -80,27 +78,15 @@ def dfds_schedule(
     """List scheduling with DFDS priorities (± random delays).
 
     ``with_delays`` combines lexicographically with the delayed level, as
-    for the descendant heuristic (see :mod:`repro.heuristics._combine`).
+    for the descendant heuristic (see :mod:`repro.core.priority_delay`).
+    The key reads the assignment, so it is drawn before the delays.
     """
     rng = as_rng(seed)
     if assignment is None:
         assignment = random_cell_assignment(inst.n_cells, m, rng)
-    pr = dfds_priorities(inst, assignment)
-    if with_delays:
-        if delays is None:
-            delays = draw_delays(inst.k, rng)
-        prio = lex_delay_priority(inst, delays, pr, higher_is_better=True)
-    else:
-        delays = np.zeros(inst.k, dtype=np.int64)
-        prio = -pr  # higher DFDS priority == smaller heap key
-    return list_schedule(
-        inst,
-        m,
-        assignment,
-        priority=prio,
-        meta={
-            "algorithm": "dfds" + ("_delays" if with_delays else ""),
-            "delays": np.asarray(delays).copy(),
-        },
-        engine=engine,
+    return priority_delay_schedule(
+        inst, m, seed=rng, assignment=assignment, delays=delays,
+        with_delays=with_delays, engine=engine,
+        name="dfds_delays" if with_delays else "dfds",
+        key=dfds_priorities,
     )

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.assignment import random_cell_assignment
 from repro.core.instance import SweepInstance
-from repro.core.list_scheduler import list_schedule
-from repro.core.random_delay import delayed_task_layers, draw_delays
+from repro.core.priority_delay import priority_delay_schedule
 from repro.core.schedule import Schedule
-from repro.util.rng import as_rng
 
 __all__ = ["level_priority_schedule"]
 
@@ -31,32 +28,11 @@ def level_priority_schedule(
 ) -> Schedule:
     """List scheduling with per-direction level priorities.
 
-    Parameters
-    ----------
-    with_delays:
-        Add the paper's random delays: priority becomes
-        ``level + X_i`` (this is Algorithm 2).
-    engine:
-        List-scheduling engine (see :mod:`repro.core.list_scheduler`).
+    ``with_delays`` adds the paper's random delays: priority becomes
+    ``level + X_i`` (this is Algorithm 2).
     """
-    rng = as_rng(seed)
-    if with_delays:
-        if delays is None:
-            delays = draw_delays(inst.k, rng)
-        prio = delayed_task_layers(inst, np.asarray(delays, dtype=np.int64))
-    else:
-        delays = np.zeros(inst.k, dtype=np.int64)
-        prio = inst.task_levels()
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-    return list_schedule(
-        inst,
-        m,
-        assignment,
-        priority=prio,
-        meta={
-            "algorithm": "level" + ("_delays" if with_delays else ""),
-            "delays": np.asarray(delays).copy(),
-        },
-        engine=engine,
+    return priority_delay_schedule(
+        inst, m, seed=seed, assignment=assignment, delays=delays,
+        with_delays=with_delays, engine=engine,
+        name="level_delays" if with_delays else "level",
     )

@@ -67,6 +67,15 @@ class TestAlgorithm3:
                 chain_instance, 2, seed=0, preprocessed=np.zeros(3, dtype=int)
             )
 
+    @pytest.mark.parametrize("priorities", [False, True])
+    def test_rejects_bad_delays_shape(self, chain_instance, priorities):
+        # A typed error, not a numpy broadcast ValueError.
+        with pytest.raises(InvalidScheduleError, match="delays has shape"):
+            improved_random_delay_schedule(
+                chain_instance, 2, seed=0, priorities=priorities,
+                delays=np.zeros(chain_instance.k + 1, dtype=np.int64),
+            )
+
     def test_explicit_delays_and_assignment(self, chain_instance):
         s = improved_random_delay_schedule(
             chain_instance,
