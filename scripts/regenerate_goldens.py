@@ -7,8 +7,8 @@ silent behaviour changes — a reordered heap, a changed tie-break, an
 RNG-stream shift — into explicit, reviewable diffs.
 
 ``tests/goldens/callgraph_edges.json`` pins the resolved call-graph
-edges (``[caller, callee, kind]`` triples) that ``repro lint --deep``
-builds for the fixture package under
+edges (``[caller, callee, kind]`` triples) that ``repro lint`` builds
+for its whole-program rules over the fixture package under
 ``tests/lint_fixtures/deep/callgraph/``.  Any change to symbol
 resolution, registry fan-out, instantiation edges, or fallback dispatch
 shows up as a reviewable diff here before it silently changes what the
@@ -73,10 +73,10 @@ def compute_goldens() -> dict:
 
 def compute_callgraph_edges() -> list:
     """Resolved edges of the call-graph fixture package."""
-    from repro.lint import build_program, iter_python_files
+    from repro.lint import build_program, parse_paths
 
-    files = iter_python_files([str(CALLGRAPH_FIXTURE_DIR)])
-    return build_program(files).edges_json()
+    contexts, _ = parse_paths([str(CALLGRAPH_FIXTURE_DIR)])
+    return build_program(contexts).edges_json()
 
 
 def _sync(path: Path, current, write: bool) -> int:

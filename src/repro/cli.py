@@ -371,14 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="AST invariant linter for the scheduling/parallel planes",
         description=(
-            "Run the project's static invariant rules (RPL001 determinism, "
-            "RPL002 engine parity, RPL003 shm lifecycle, RPL004 dtype "
-            "discipline, RPL005 hot-path hygiene, RPL006 obs discipline) "
-            "over python sources.  "
-            "With --deep, also builds a whole-program call graph and runs "
-            "the interprocedural pack (RPL101 spawn safety, RPL102 shm "
-            "pairing, RPL103 engine propagation, RPL104 span safety, "
-            "RPL105 seed escape).  "
+            "Run the project's static invariant rules over python "
+            "sources in one pass: file-local rules on each file, "
+            "whole-program rules on the call graph built from the same "
+            "parses.  `repro lint --list-rules` prints the rules.  "
             "Exits 0 when clean, 1 with file:line diagnostics, 2 on usage "
             "errors (unknown rule, missing/unreadable path, no python "
             "files).  "
@@ -393,13 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "with pragma counts), or github (PR annotations)")
     p.add_argument("--rule", action="append", default=None, metavar="RPLxxx",
                    help="restrict to these rule codes (repeatable)")
-    p.add_argument("--deep", action="store_true",
-                   help="also build the call graph and run the "
-                        "whole-program rules (RPL101+)")
-    p.add_argument("--graph-cache", default=None, metavar="DIR",
-                   help="cache the --deep call graph in DIR, keyed on a "
-                        "source-tree hash (skips re-parsing when the tree "
-                        "is unchanged)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the registered rules and exit")
     return parser
@@ -977,12 +966,11 @@ def _cmd_lint(args) -> int:
         get_rule,
         iter_python_files,
         lint_paths,
-        lint_paths_with_deep,
     )
 
     if args.list_rules:
         for rule in all_rules():
-            scope = "deep" if getattr(rule, "deep", False) else "file"
+            scope = "deep" if rule.deep else "file"
             print(f"{rule.code}  {rule.name} [{scope}]: {rule.description}")
         return 0
     if args.rule:
@@ -1018,12 +1006,7 @@ def _cmd_lint(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.deep:
-        report = lint_paths_with_deep(
-            paths, rules=rules, cache_dir=args.graph_cache
-        )
-    else:
-        report = lint_paths(paths, rules=rules)
+    report = lint_paths(paths, rules=rules)
     if args.fmt == "json":
         print(report.format_json())
     elif args.fmt == "github":

@@ -196,7 +196,6 @@ class Dag:
         "_num_levels",
         "_topo_order",
         "_b_level",
-        "_t_level",
         "_desc_exact",
         "_desc_approx",
         "_succ_lists",
@@ -226,7 +225,6 @@ class Dag:
         self._num_levels = None
         self._topo_order = None
         self._b_level = None
-        self._t_level = None
         self._desc_exact = None
         self._desc_approx = None
         self._succ_lists = None
@@ -398,7 +396,6 @@ class Dag:
         "indegree": "_indegree",
         "outdegree": "_outdegree",
         "b_level": "_b_level",
-        "t_level": "_t_level",
         "desc_exact": "_desc_exact",
         "desc_approx": "_desc_approx",
         "succ_off": "_succ_off",
@@ -554,25 +551,6 @@ class Dag:
                     b[v] = 1 + b[s].max()
             self._b_level = b
         return self._b_level.copy()
-
-    def t_levels(self) -> np.ndarray:
-        """Longest path (in vertices) from a root down to each vertex.
-
-        A root has t-level 1.  ``t_levels()[v] - 1`` equals ``level_of()[v]``
-        for graphs whose edges only connect consecutive levels, but can be
-        larger in general.
-        """
-        if self._t_level is None:
-            self._note_build()
-            t = np.ones(self.n, dtype=np.int64)
-            order = self.topological_order()
-            off, tgt = self.predecessor_csr()
-            for v in order:
-                p = tgt[off[v] : off[v + 1]]
-                if p.size:
-                    t[v] = 1 + t[p].max()
-            self._t_level = t
-        return self._t_level.copy()
 
     def critical_path_length(self) -> int:
         """Number of vertices on the longest path in the DAG."""

@@ -217,7 +217,7 @@ class SweepInstance:
         mapping slash-separated keys to numpy arrays — the wire format of
         :class:`repro.parallel.SharedInstanceStore`.  Structural arrays
         (per-direction edges, mesh adjacency) are always included; memo
-        caches (levels, CSR adjacency, b/t-levels, descendant counts) are
+        caches (levels, CSR adjacency, b-levels, descendant counts) are
         included exactly when they are already materialised, on the
         per-direction DAGs and on the union DAG alike.
         :meth:`from_arrays` is the zero-copy inverse.

@@ -3,54 +3,21 @@
 The runtime test suites (fuzzing, engine equivalence, grid smoke) verify
 the repository's structural invariants *after the fact*; this package
 enforces them *at review time*, statically, with zero runtime deps
-beyond the stdlib ``ast`` module.  Shipped rules:
+beyond the stdlib ``ast`` module.
 
-========  ==============================================================
-RPL001    seeded determinism — no stdlib ``random``, bare
-          ``np.random.*``, ``time.time()``, or unseeded ``default_rng()``
-          outside ``util/rng.py`` and ``fuzz/``
-RPL002    engine parity — functions accepting ``engine=`` must forward
-          it to every list-scheduling / registry-algorithm call
-RPL003    shm lifecycle — ``SharedMemory`` creation needs an owner with
-          close+unlink (or a ``with``); buffer-backed views must decide
-          writability explicitly
-RPL004    dtype discipline — index arrays in ``core/``/``parallel/``
-          need an explicit integer dtype
-RPL005    hot-path hygiene — no quadratic idioms in the benchmarked
-          scheduler/dispatcher files
-========  ==============================================================
+One pass (:func:`lint_paths`) parses every file once, runs the
+file-local rules on each file, builds an alias-resolved call graph over
+all of them (:mod:`repro.lint.graph`, with dataflow facts from
+:mod:`repro.lint.dataflow`) for the whole-program rules, and applies one
+table of ``# repro-lint: disable=RPLxxx -- why`` pragmas to both.
+``repro lint --list-rules`` prints the registered rules;
+``docs/linting.md`` documents them, the pragma, and how to add a rule.
 
-``repro lint --deep`` additionally builds an import graph and an
-alias-resolved call graph over the whole tree (:mod:`repro.lint.graph`),
-computes per-function dataflow facts (:mod:`repro.lint.dataflow`), and
-runs the interprocedural pack:
-
-========  ==============================================================
-RPL101    spawn-safety — no call path from a worker entrypoint to
-          instance/mesh/partition construction or fork-inherited caches
-RPL102    shm pairing — every owning ``SharedMemory`` create reaches
-          close+unlink and has no unprotected exception window
-RPL103    engine propagation — ``engine=``-accepting functions forward
-          the selector to ``engine=``-accepting callees, across files
-RPL104    span safety — ``obs.span(...)`` on worker-reachable paths must
-          be a ``with`` context expression
-RPL105    seed escape — seed values must not flow into functions that
-          construct RNGs outside the ``repro.util.rng`` chokepoint
-========  ==============================================================
-
-Run it as ``repro lint [paths] [--deep] [--format text|json|github]``;
+Run it as ``repro lint [paths] [--rule RPLxxx] [--format text|json|github]``;
 the pytest gates are ``tests/test_lint.py`` and
-``tests/test_lint_deep.py``.  ``docs/linting.md`` documents the rule
-pack, the ``# repro-lint: disable=RPLxxx -- why`` pragma, and how to add
-a rule.
+``tests/test_lint_deep.py``.
 """
 
-from repro.lint.deep import (
-    deep_rules,
-    lint_paths_deep,
-    lint_paths_with_deep,
-    shallow_rules,
-)
 from repro.lint.engine import (
     LintReport,
     Pragma,
@@ -59,8 +26,9 @@ from repro.lint.engine import (
     lint_paths,
     lint_source,
     package_relpath,
+    parse_paths,
 )
-from repro.lint.graph import Program, build_program, load_program
+from repro.lint.graph import Program, build_program
 from repro.lint.rules import Diagnostic, Rule, all_rules, get_rule, register
 
 __all__ = [
@@ -71,16 +39,12 @@ __all__ = [
     "Rule",
     "all_rules",
     "build_program",
-    "deep_rules",
     "get_rule",
     "register",
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "lint_paths_deep",
-    "lint_paths_with_deep",
     "lint_source",
-    "load_program",
     "package_relpath",
-    "shallow_rules",
+    "parse_paths",
 ]

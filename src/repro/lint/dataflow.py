@@ -11,9 +11,8 @@ graph; this module owns them so each rule stays a thin policy layer:
 * :func:`worker_entrypoints`, :func:`unsafe_rng_functions`,
   :func:`pairing_scope` — the project-specific instantiations.
 
-Everything here consumes only the serialisable
-:class:`~repro.lint.graph.FunctionInfo` summaries, never raw ASTs, so a
-graph loaded from the disk cache supports the full rule set.
+Everything here consumes only the
+:class:`~repro.lint.graph.FunctionInfo` summaries, never raw ASTs.
 """
 
 from __future__ import annotations

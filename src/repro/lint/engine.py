@@ -1,8 +1,10 @@
 """Driver for the AST invariant linter: files → diagnostics → report.
 
-The pipeline per file is: read → parse (stdlib ``ast``) → run every
-registered rule whose scope matches the file's package-relative path →
-drop diagnostics suppressed by an inline pragma.
+One pass: every file is read, parsed (stdlib ``ast``) and scanned for
+pragmas once.  The file-local rules run on each parsed file whose
+package-relative path is in their scope; the whole-program rules run on
+the :class:`~repro.lint.graph.Program` built from the same parses; one
+pragma table then drops the suppressed findings of both kinds.
 
 Pragmas
 -------
@@ -36,8 +38,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
+# The rule registry loads first: its whole-program pack imports the graph.
 from repro.lint.rules import all_rules
 from repro.lint.rules.base import Diagnostic, FileContext, Rule
+from repro.lint.graph import build_program
 
 __all__ = [
     "Pragma",
@@ -45,6 +49,7 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
+    "parse_paths",
     "iter_python_files",
     "package_relpath",
 ]
@@ -191,6 +196,7 @@ def _scan_pragmas(source: str, path: str) -> tuple[list[Pragma], list[Diagnostic
 
 
 def _fixture_path(source: str) -> str | None:
+    """The ``# repro-lint-fixture: path=...`` directive in the first lines."""
     for line in source.splitlines()[:5]:
         m = _FIXTURE_RE.search(line)
         if m:
@@ -198,13 +204,12 @@ def _fixture_path(source: str) -> str | None:
     return None
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: list[Rule] | None = None,
-) -> LintReport:
-    """Lint one source string; ``path`` controls display and rule scope."""
-    report = LintReport(files_checked=1)
+def _parse(source: str, path: str, report: LintReport) -> FileContext | None:
+    """Parse ``source`` once and scan its pragmas once, into ``report``.
+
+    Returns ``None`` (after reporting an RPL000) on a syntax error.
+    """
+    report.files_checked += 1
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -212,27 +217,55 @@ def lint_source(
             path=path, line=exc.lineno or 1, col=(exc.offset or 1) - 1,
             rule="RPL000", message=f"syntax error: {exc.msg}",
         ))
-        return report
-    relpath = _fixture_path(source) or package_relpath(path)
-    ctx = FileContext(path=path, relpath=relpath, tree=tree, source=source)
+        return None
     pragmas, pragma_errors = _scan_pragmas(source, path)
-    report.pragmas = pragmas
+    report.pragmas.extend(pragmas)
     report.diagnostics.extend(pragma_errors)
+    relpath = _fixture_path(source) or package_relpath(path)
+    return FileContext(path=path, relpath=relpath, tree=tree, source=source)
 
-    suppressed_at: dict[int, set[str]] = {}
-    for pragma in pragmas:
-        suppressed_at.setdefault(pragma.line, set()).update(pragma.rules)
 
-    for rule in (rules if rules is not None else all_rules()):
-        if getattr(rule, "deep", False):
-            continue  # whole-program rules run in repro.lint.deep
-        if not rule.applies(relpath):
-            continue
-        for diag in rule.check(ctx):
-            if diag.rule in suppressed_at.get(diag.line, ()):
-                report.suppressed += 1
-            else:
-                report.diagnostics.append(diag)
+def _file_findings(ctx: FileContext, rules: list[Rule]) -> list[Diagnostic]:
+    """Findings of the file-local ``rules`` in scope for ``ctx``."""
+    return [
+        diag
+        for rule in rules
+        if not rule.deep and rule.applies(ctx.relpath)
+        for diag in rule.check(ctx)
+    ]
+
+
+def _suppress(report: LintReport, found: list[Diagnostic]) -> None:
+    """Add ``found`` to ``report``, minus what its pragmas cover.
+
+    A pragma covers a finding of a rule it lists on its own line of its
+    own file; covered findings are only counted.
+    """
+    covered = {
+        (p.path, p.line, code) for p in report.pragmas for code in p.rules
+    }
+    for diag in found:
+        if (diag.path, diag.line, diag.rule) in covered:
+            report.suppressed += 1
+        else:
+            report.diagnostics.append(diag)
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    rules: list[Rule] | None = None,
+) -> LintReport:
+    """Run the file-local rules on one source string.
+
+    ``path`` controls display and rule scope; whole-program rules need
+    more than one file and are left to :func:`lint_paths`.
+    """
+    report = LintReport()
+    ctx = _parse(source, path, report)
+    if ctx is not None:
+        rules = all_rules() if rules is None else rules
+        _suppress(report, _file_findings(ctx, rules))
     return report
 
 
@@ -257,10 +290,39 @@ def iter_python_files(paths: list[str]) -> list[str]:
     return sorted(out)
 
 
-def lint_paths(paths: list[str], rules: list[Rule] | None = None) -> LintReport:
-    """Lint every ``.py`` file under ``paths``; returns a merged report."""
+def parse_paths(paths: list[str]) -> tuple[list[FileContext], LintReport]:
+    """Read and parse every ``.py`` file under ``paths`` once.
+
+    Returns the parsed contexts (files with a syntax error are left out)
+    and a report holding the files' pragmas and RPL000 findings.
+    """
     report = LintReport()
+    contexts = []
     for path in iter_python_files(paths):
-        report.extend(lint_file(path, rules=rules))
+        with open(path, encoding="utf-8") as fh:
+            ctx = _parse(fh.read(), path, report)
+        if ctx is not None:
+            contexts.append(ctx)
+    return contexts, report
+
+
+def lint_paths(paths: list[str], rules: list[Rule] | None = None) -> LintReport:
+    """Lint every ``.py`` file under ``paths`` in one pass.
+
+    Each file is parsed once; the file-local rules run on each parsed
+    file, the whole-program rules on the :class:`~repro.lint.graph.Program`
+    built from the same parses, and one pragma table suppresses both.
+    ``rules=None`` runs every registered rule.
+    """
+    rules = all_rules() if rules is None else rules
+    contexts, report = parse_paths(paths)
+    found = [d for ctx in contexts for d in _file_findings(ctx, rules)]
+    program_rules = [r for r in rules if r.deep]
+    if program_rules:
+        program = build_program(contexts)
+        report.diagnostics.extend(program.diagnostics)
+        for rule in program_rules:
+            found.extend(rule.check_program(program))
+    _suppress(report, found)
     report.sort()
     return report

@@ -1,6 +1,6 @@
-"""Whole-program model for the deep lint pass: modules, symbols, calls.
+"""Whole-program model for the deep lint rules: modules, symbols, calls.
 
-The file-local rules (RPL001-006) see one module at a time; the
+The file-local rules (RPL001-007) see one module at a time; the
 interprocedural rules (RPL101-105, :mod:`repro.lint.rules.deep`) need to
 answer questions like "can ``run_chunk`` reach ``warm_instance``?" or
 "does the ``engine=`` selector survive this call chain?".  This module
@@ -22,39 +22,31 @@ builds the shared substrate those rules walk:
   (``obj.close()``) fans out to every known method of that name.  Dynamic
   dispatch therefore widens the graph instead of escaping it.
 
-Every fact a deep rule consumes (call sites, per-function dataflow
-summaries from :mod:`repro.lint.dataflow`) is plain serialisable data, so
-a built :class:`Program` round-trips through JSON.  :func:`load_program`
-uses that to cache the build on disk keyed by a blake2b hash of the
-source tree — CI restores the cache and skips the whole parse/resolve
-phase when no source file changed.
+The program is built from the :class:`~repro.lint.rules.base.FileContext`
+objects the lint engine already parsed, so no file is parsed twice.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
-from repro.lint.rules.base import FileContext
+from repro.lint.rules.base import (
+    Diagnostic,
+    FileContext,
+    in_with_item,
+    registry_bound_names,
+)
 
 __all__ = [
-    "GRAPH_FORMAT_VERSION",
     "CallSite",
     "ShmCreate",
     "FunctionInfo",
     "ModuleInfo",
     "Program",
     "build_program",
-    "load_program",
-    "source_tree_hash",
 ]
-
-#: Bumped whenever the serialised graph shape changes; a cached graph
-#: with a different version is rebuilt, never misread.
-GRAPH_FORMAT_VERSION = 1
 
 #: Method names too generic to fan out on for dynamic-dispatch fallback
 #: edges — matching every ``.get()`` or ``.append()`` in the tree would
@@ -76,10 +68,6 @@ _FALLBACK_SKIP = frozenset({
     "group", "groups", "match", "search", "findall", "put", "commit",
     "execute", "executemany", "fetchone", "fetchall", "cursor",
 })
-
-#: Names whose call result / subscript is a registry algorithm (mirrors
-#: RPL002's file-local detection, lifted to the program level).
-_REGISTRY_SOURCES = frozenset({"get_algorithm", "ALGORITHMS"})
 
 #: Argument expressions treated as carrying a seed value (RPL105).
 _SEED_ATTR = "seed"
@@ -124,27 +112,6 @@ class CallSite:
     #: The call is the context expression of a ``with`` statement.
     in_with: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "line": self.line, "col": self.col, "raw": self.raw,
-            "callees": list(self.callees), "kind": self.kind,
-            "kwargs": list(self.kwargs),
-            "has_star_kwargs": self.has_star_kwargs,
-            "engine_arg": self.engine_arg, "passes_seed": self.passes_seed,
-            "in_with": self.in_with,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        return cls(
-            line=d["line"], col=d["col"], raw=d["raw"],
-            callees=tuple(d["callees"]), kind=d["kind"],
-            kwargs=tuple(d["kwargs"]),
-            has_star_kwargs=d["has_star_kwargs"],
-            engine_arg=d["engine_arg"], passes_seed=d["passes_seed"],
-            in_with=d["in_with"],
-        )
-
 
 @dataclass(frozen=True)
 class ShmCreate:
@@ -166,21 +133,6 @@ class ShmCreate:
     binding: str | None   # "name:shm" / "attr:_shm" / None
     gap: bool
     protected: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "line": self.line, "col": self.col, "owning": self.owning,
-            "in_with": self.in_with, "binding": self.binding,
-            "gap": self.gap, "protected": self.protected,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShmCreate":
-        return cls(
-            line=d["line"], col=d["col"], owning=d["owning"],
-            in_with=d["in_with"], binding=d["binding"], gap=d["gap"],
-            protected=d["protected"],
-        )
 
 
 @dataclass
@@ -215,37 +167,6 @@ class FunctionInfo:
             out.update(site.callees)
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "module": self.module,
-            "name": self.name, "class_name": self.class_name,
-            "path": self.path, "relpath": self.relpath,
-            "lineno": self.lineno, "params": list(self.params),
-            "accepts_engine": self.accepts_engine,
-            "has_seed_param": self.has_seed_param,
-            "calls": [c.as_dict() for c in self.calls],
-            "shm_creates": [s.as_dict() for s in self.shm_creates],
-            "closes": list(self.closes), "unlinks": list(self.unlinks),
-            "rng_sites": [list(r) for r in self.rng_sites],
-            "span_sites": [list(s) for s in self.span_sites],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionInfo":
-        return cls(
-            qualname=d["qualname"], module=d["module"], name=d["name"],
-            class_name=d["class_name"], path=d["path"],
-            relpath=d["relpath"], lineno=d["lineno"],
-            params=tuple(d["params"]),
-            accepts_engine=d["accepts_engine"],
-            has_seed_param=d["has_seed_param"],
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            shm_creates=[ShmCreate.from_dict(s) for s in d["shm_creates"]],
-            closes=tuple(d["closes"]), unlinks=tuple(d["unlinks"]),
-            rng_sites=tuple(tuple(r) for r in d["rng_sites"]),
-            span_sites=tuple(tuple(s) for s in d["span_sites"]),
-        )
-
 
 @dataclass
 class ModuleInfo:
@@ -256,17 +177,6 @@ class ModuleInfo:
     relpath: str | None   # package-relative ("parallel/worker.py")
     imports: tuple[str, ...] = ()   # program-internal modules imported
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name, "path": self.path, "relpath": self.relpath,
-            "imports": list(self.imports),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleInfo":
-        return cls(name=d["name"], path=d["path"], relpath=d["relpath"],
-                   imports=tuple(d["imports"]))
-
 
 class Program:
     """The whole-program view the deep rules operate on."""
@@ -276,6 +186,9 @@ class Program:
         self.functions: dict[str, FunctionInfo] = {}
         #: Registry fan-out targets (qualnames of registered algorithms).
         self.registry_targets: tuple[str, ...] = ()
+        #: RPL000 findings raised while building (a module name claimed
+        #: by two files: the later file is left out of the program).
+        self.diagnostics: list[Diagnostic] = []
 
     # -- graph queries --------------------------------------------------
 
@@ -325,44 +238,11 @@ class Program:
                     out.add((qualname, callee, site.kind))
         return [list(t) for t in sorted(out)]
 
-    # -- (de)serialisation ----------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "version": GRAPH_FORMAT_VERSION,
-            "modules": [
-                self.modules[name].as_dict() for name in sorted(self.modules)
-            ],
-            "functions": [
-                self.functions[q].as_dict() for q in sorted(self.functions)
-            ],
-            "registry_targets": list(self.registry_targets),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Program":
-        if payload.get("version") != GRAPH_FORMAT_VERSION:
-            raise ValueError(
-                f"graph cache version {payload.get('version')!r} != "
-                f"{GRAPH_FORMAT_VERSION}"
-            )
-        prog = cls()
-        for d in payload["modules"]:
-            mod = ModuleInfo.from_dict(d)
-            prog.modules[mod.name] = mod
-        for d in payload["functions"]:
-            fn = FunctionInfo.from_dict(d)
-            prog.functions[fn.qualname] = fn
-        prog.registry_targets = tuple(payload["registry_targets"])
-        return prog
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-
-_FIXTURE_RE_LINES = 5
-
 
 def _module_name(relpath: str | None, path: str) -> str:
     """Dotted module name for a file: ``parallel/worker.py`` →
@@ -392,13 +272,12 @@ def _receiver_text(node: ast.AST) -> str:
 class _ModuleAnalysis:
     """Parsed module plus its symbol/alias tables (build-time only)."""
 
-    def __init__(self, path: str, source: str, relpath: str | None) -> None:
-        self.path = path
-        self.relpath = relpath
-        self.tree = ast.parse(source, filename=path)
-        self.ctx = FileContext(path=path, relpath=relpath, tree=self.tree,
-                               source=source)
-        self.name = _module_name(relpath, path)
+    def __init__(self, ctx: FileContext) -> None:
+        self.ctx = ctx
+        self.path = ctx.path
+        self.relpath = ctx.relpath
+        self.tree = ctx.tree
+        self.name = _module_name(ctx.relpath, ctx.path)
         #: Module-level defs: local name → ("func"| "class", node)
         self.defs: dict[str, tuple[str, ast.AST]] = {}
         #: class name → {method name → node}
@@ -415,58 +294,26 @@ class _ModuleAnalysis:
                 self.methods[node.name] = table
 
 
-def _scan_fixture_path(source: str) -> str | None:
-    import re
+def build_program(contexts: list[FileContext]) -> Program:
+    """Build the resolved whole-program graph from parsed files.
 
-    pattern = re.compile(r"#\s*repro-lint-fixture:\s*path=(?P<path>\S+)")
-    for line in source.splitlines()[:_FIXTURE_RE_LINES]:
-        m = pattern.search(line)
-        if m:
-            return m.group("path")
-    return None
-
-
-def source_tree_hash(files: list[str]) -> str:
-    """blake2b over (sorted relative names, contents) of ``files``.
-
-    The cache key for a built program: any content or file-set change
-    produces a different digest, so a stale graph can never be loaded for
-    a changed tree.
+    Each module name keeps its first file; a later file claiming the same
+    name is left out and reported as an RPL000 on the program.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"v{GRAPH_FORMAT_VERSION}".encode())
-    for path in sorted(files):
-        h.update(b"\x00")
-        h.update(os.path.basename(path).encode())
-        try:
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-        except OSError:
-            h.update(b"<unreadable>")
-    return h.hexdigest()
-
-
-def build_program(files: list[str]) -> Program:
-    """Parse ``files`` and build the resolved whole-program graph."""
-    analyses: list[_ModuleAnalysis] = []
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError:
-            continue
-        relpath = _scan_fixture_path(source)
-        if relpath is None:
-            from repro.lint.engine import package_relpath
-
-            relpath = package_relpath(path)
-        try:
-            analyses.append(_ModuleAnalysis(path, source, relpath))
-        except SyntaxError:
-            continue  # the file-local pass reports the syntax error
-
-    by_name = {a.name: a for a in analyses}
     prog = Program()
+    by_name: dict[str, _ModuleAnalysis] = {}
+    for ctx in contexts:
+        a = _ModuleAnalysis(ctx)
+        first = by_name.setdefault(a.name, a)
+        if first is not a:
+            prog.diagnostics.append(Diagnostic(
+                path=a.path, line=1, col=0, rule="RPL000",
+                message=(
+                    f"module `{a.name}` is already defined by {first.path}; "
+                    "this file is left out of the whole-program rules"
+                ),
+            ))
+    analyses = list(by_name.values())
 
     # Pass 1: symbols, re-export tables, registry targets.
     #   symbol index: dotted name → qualname for functions/classes/methods
@@ -613,30 +460,6 @@ def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
     if args.kwarg:
         names.append(args.kwarg.arg)
     return tuple(names)
-
-
-def _registry_bound_names(fn: ast.AST) -> set[str]:
-    """Local names bound from ``get_algorithm(...)`` / ``ALGORITHMS[...]``."""
-    bound: set[str] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        source = None
-        if isinstance(value, ast.Call):
-            source = value.func
-        elif isinstance(value, ast.Subscript):
-            source = value.value
-        if source is None:
-            continue
-        name = source.attr if isinstance(source, ast.Attribute) else (
-            source.id if isinstance(source, ast.Name) else None
-        )
-        if name in _REGISTRY_SOURCES:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-    return bound
 
 
 def _engine_arg_shape(call: ast.Call) -> str | None:
@@ -794,13 +617,11 @@ def _analyze_function(
         accepts_engine="engine" in params,
         has_seed_param="seed" in params,
     )
-    registry_locals = _registry_bound_names(node)
+    registry_locals = registry_bound_names(node)
     closes: list[str] = []
     unlinks: list[str] = []
     rng_sites: list[tuple] = []
     span_sites: list[tuple] = []
-
-    from repro.lint.rules.base import in_with_item
 
     for sub in ast.walk(node):
         if not isinstance(sub, ast.Call):
@@ -909,38 +730,3 @@ def _analyze_function(
     info.rng_sites = tuple(rng_sites)
     info.span_sites = tuple(span_sites)
     return info
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-# ---------------------------------------------------------------------------
-
-
-def load_program(files: list[str], cache_dir: str | None = None) -> Program:
-    """Build the program, consulting/refreshing a JSON disk cache.
-
-    With ``cache_dir`` set, a graph whose source-tree hash matches is
-    loaded instead of rebuilt (CI restores the directory across runs
-    keyed on the same hash, so an unchanged tree never pays the
-    parse/resolve cost twice).  Corrupt or version-skewed cache entries
-    are ignored and overwritten, never trusted.
-    """
-    if cache_dir is None:
-        return build_program(files)
-    digest = source_tree_hash(files)
-    path = os.path.join(cache_dir, f"deepgraph-{digest}.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return Program.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        pass
-    prog = build_program(files)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(prog.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort; the build result is what matters
-    return prog

@@ -26,7 +26,7 @@ from repro.lint.rules import obs_discipline as _obs  # noqa: F401
 from repro.lint.rules import shm_lifecycle as _shm  # noqa: F401
 
 # The whole-program pack (RPL101+) registers alongside the file-local
-# rules so --rule/--list-rules see them; the file-local engine skips
+# rules so --rule/--list-rules see them; the file-local loop skips
 # anything marked deep=True.
 from repro.lint.rules import deep as _deep  # noqa: F401
 

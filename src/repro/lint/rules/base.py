@@ -34,6 +34,7 @@ __all__ = [
     "class_ancestor",
     "enclosing_function",
     "in_with_item",
+    "registry_bound_names",
 ]
 
 
@@ -182,12 +183,43 @@ def in_with_item(ctx: FileContext, node: ast.AST) -> bool:
     return False
 
 
+#: Names whose call result / subscript is a registry algorithm.
+REGISTRY_SOURCES = frozenset({"get_algorithm", "ALGORITHMS"})
+
+
+def registry_bound_names(fn: ast.AST) -> set[str]:
+    """Local names assigned from ``get_algorithm(...)`` / ``ALGORITHMS[...]``."""
+    bound: set[str] = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        source = None
+        if isinstance(value, ast.Call):
+            source = value.func
+        elif isinstance(value, ast.Subscript):
+            source = value.value
+        if source is None:
+            continue
+        name = source.attr if isinstance(source, ast.Attribute) else (
+            source.id if isinstance(source, ast.Name) else None
+        )
+        if name in REGISTRY_SOURCES:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+    return bound
+
+
 class Rule:
     """Base class: subclasses set the class attributes and ``check``."""
 
     code: str = "RPL000"
     name: str = ""
     description: str = ""
+    #: Whole-program rules (:class:`~repro.lint.rules.deep.base.DeepRule`)
+    #: set this; the file-local loop skips them.
+    deep: bool = False
 
     def applies(self, relpath: str | None) -> bool:
         """Whether this rule runs on a file at package-relative ``relpath``."""

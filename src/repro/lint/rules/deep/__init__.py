@@ -1,10 +1,10 @@
 """Whole-program (interprocedural) rule pack — RPL101-105.
 
 Imported by :mod:`repro.lint.rules` so the deep rules register alongside
-the file-local ones; the file-local engine skips them (``deep = True``)
-and the deep driver (:mod:`repro.lint.deep`) runs their
-:meth:`~repro.lint.rules.deep.base.DeepRule.check_program` over a built
-:class:`~repro.lint.graph.Program`.
+the file-local ones; the file-local loop skips them (``deep = True``)
+and :func:`repro.lint.lint_paths` runs their
+:meth:`~repro.lint.rules.deep.base.DeepRule.check_program` over the
+:class:`~repro.lint.graph.Program` built from the files it parsed.
 """
 
 from repro.lint.rules.deep.base import DeepRule

@@ -3,11 +3,10 @@
 A :class:`DeepRule` shares the registry, codes, and pragma machinery
 with the file-local rules, but its unit of analysis is a built
 :class:`~repro.lint.graph.Program` instead of one file's AST.  The
-file-local engine skips deep rules (their :meth:`check` is an empty
-no-op); the deep driver (:mod:`repro.lint.deep`) runs
-:meth:`check_program` once per program and suppresses findings through
-the same ``# repro-lint: disable=RPLxxx -- why`` pragmas, matched by
-file and line.
+file-local loop skips deep rules (their :meth:`check` is an empty
+no-op); :func:`repro.lint.lint_paths` runs :meth:`check_program` once
+per program and suppresses its findings through the same pragma table,
+matched by file and line.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def program_diagnostic(
 class DeepRule(Rule):
     """Whole-program rule: analyse a :class:`Program`, not a file."""
 
-    #: Marks the rule for the deep pass; the file-local engine skips it.
+    #: Marks the rule as whole-program; the file-local loop skips it.
     deep = True
 
     def check(self, ctx: FileContext) -> list[Diagnostic]:

@@ -25,7 +25,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import Diagnostic, FileContext, Rule, register
+from repro.lint.rules.base import (
+    Diagnostic,
+    FileContext,
+    Rule,
+    register,
+    registry_bound_names,
+)
 
 __all__ = ["EngineParityRule"]
 
@@ -39,38 +45,11 @@ _SCHEDULING_CALLS = frozenset({
     "run_cell_on",
 })
 
-#: Names whose call result / subscript is a registry algorithm.
-_REGISTRY_SOURCES = frozenset({"get_algorithm", "ALGORITHMS"})
-
 
 def _has_engine_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     args = fn.args
     every = args.posonlyargs + args.args + args.kwonlyargs
     return any(a.arg == "engine" for a in every)
-
-
-def _registry_bound_names(fn: ast.AST) -> set[str]:
-    """Local names assigned from ``get_algorithm(...)`` / ``ALGORITHMS[...]``."""
-    bound: set[str] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        source = None
-        if isinstance(value, ast.Call):
-            source = value.func
-        elif isinstance(value, ast.Subscript):
-            source = value.value
-        if source is None:
-            continue
-        name = source.attr if isinstance(source, ast.Attribute) else (
-            source.id if isinstance(source, ast.Name) else None
-        )
-        if name in _REGISTRY_SOURCES:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-    return bound
 
 
 def _forwards_engine(call: ast.Call) -> bool:
@@ -99,7 +78,7 @@ class EngineParityRule(Rule):
                 continue
             if not _has_engine_param(fn):
                 continue
-            registry_names = _registry_bound_names(fn)
+            registry_names = registry_bound_names(fn)
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue

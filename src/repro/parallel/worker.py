@@ -34,9 +34,7 @@ def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None
     of the random-delay family) — everything the frontier kernel reads.
     Warmed on demand: per-direction descendant counts
     (``descendant*``), b-levels and successor CSR (``dfds*`` /
-    ``blevel*``).  T-levels are supported by the cache wire format but
-    warmed only here if an algorithm family starts using them — nothing
-    in the registry does today.
+    ``blevel*``).
 
     Everything warmed here ships to attached workers through the
     shared-memory cache wire format, so a worker running the frontier

@@ -164,9 +164,6 @@ class TestLongestPaths:
     def test_b_levels_diamond(self, diamond_dag):
         assert list(diamond_dag.b_levels()) == [3, 2, 2, 1]
 
-    def test_t_levels_diamond(self, diamond_dag):
-        assert list(diamond_dag.t_levels()) == [1, 2, 2, 3]
-
     def test_critical_path(self, diamond_dag):
         assert diamond_dag.critical_path_length() == 3
 
@@ -274,14 +271,6 @@ class TestMemoization:
     """The scheduling-engine caches must be caches: same values, and the
     arrays handed out must be private copies the caller can scribble on.
     """
-
-    def test_t_levels_cached_and_copied(self):
-        g = Dag.from_edge_list(4, [(0, 1), (1, 2), (0, 3)])
-        a = g.t_levels()
-        b = g.t_levels()
-        assert np.array_equal(a, b)
-        a[:] = -1
-        assert np.array_equal(g.t_levels(), b)
 
     def test_descendant_counts_cached_per_mode(self):
         g = Dag.from_edge_list(5, [(0, 1), (1, 2), (0, 3), (3, 4)])

@@ -108,3 +108,11 @@ class TestDocReferences:
         text = (ROOT / "DESIGN.md").read_text()
         for match in re.findall(r"`benchmarks/([a-z0-9_]+\.py)`", text):
             assert (ROOT / "benchmarks" / match).exists(), f"missing {match}"
+
+    def test_lint_rule_tables_match_registry(self):
+        """The two rule tables in the linting guide list every rule."""
+        from repro.lint import all_rules
+
+        text = (ROOT / "docs" / "linting.md").read_text()
+        documented = set(re.findall(r"^\| (RPL\d{3}) \|", text, re.MULTILINE))
+        assert documented == {rule.code for rule in all_rules()}

@@ -17,6 +17,7 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 
@@ -27,6 +28,7 @@ from repro.lint import (
     LintReport,
     all_rules,
     get_rule,
+    iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
@@ -63,6 +65,7 @@ def _fixture(code: str, kind: str) -> str:
 
 class TestCleanTree:
     def test_src_repro_is_lint_clean(self):
+        # Every registered rule, file-local and whole-program, in one pass.
         report = lint_paths([SRC_REPRO])
         assert report.files_checked > 50
         assert report.ok, "\n" + report.format_text()
@@ -270,7 +273,11 @@ class TestEngine:
         assert keys == sorted(keys)
 
     def test_lint_paths_walks_directories(self):
-        report = lint_paths([FIXTURE_DIR])
+        # The fixture tree is many independent packages (their module
+        # names collide), so only the file-local rules make sense over
+        # all of it at once.
+        file_rules = [r for r in all_rules() if not r.deep]
+        report = lint_paths([FIXTURE_DIR], rules=file_rules)
         # The walk recurses into the deep/ fixture packages too, so the
         # file count exceeds the flat pairs; the exact-count contract
         # applies to the flat fixtures (deep packages have their own
@@ -281,6 +288,43 @@ class TestEngine:
             if os.path.dirname(diag.path) == FIXTURE_DIR:
                 counts[diag.rule] = counts.get(diag.rule, 0) + 1
         assert counts == EXPECTED_BAD
+
+    def test_one_pass_parses_each_file_once(self, monkeypatch):
+        package = os.path.join(FIXTURE_DIR, "deep", "RPL103_bad")
+        n_files = len(iter_python_files([package]))
+        calls = []
+        real_parse = ast.parse
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args[0] if args else kwargs.get("source"))
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report = lint_paths([package])
+        assert {d.rule for d in report.diagnostics} == {"RPL103"}
+        assert n_files >= 2
+        assert len(calls) == n_files
+
+    def test_duplicate_module_name_is_reported_not_dropped(self, tmp_path):
+        body = (
+            "# repro-lint-fixture: path=core/sched.py\n"
+            "def schedule(inst, m, engine=None):\n"
+            "    return inst\n"
+        )
+        (tmp_path / "a.py").write_text(body)
+        (tmp_path / "b.py").write_text(body)
+        report = lint_paths([str(tmp_path)])
+        (diag,) = report.diagnostics
+        assert diag.rule == "RPL000"
+        assert diag.path == str(tmp_path / "b.py")
+        assert (diag.line, diag.col) == (1, 0)
+        assert "repro.core.sched" in diag.message
+        assert str(tmp_path / "a.py") in diag.message
+        # The later file is still linted by the file-local rules.
+        assert report.files_checked == 2
+        # Without whole-program rules nothing is left out, so nothing to say.
+        file_rules = [r for r in all_rules() if not r.deep]
+        assert lint_paths([str(tmp_path)], rules=file_rules).ok
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +342,14 @@ class TestCli:
         assert main(["lint", _fixture("RPL003", "bad")]) == 1
         out = capsys.readouterr().out
         assert "RPL003" in out
-        # file:line:col diagnostics, one per finding.
-        assert out.count("RPL003_bad.py:") == EXPECTED_BAD["RPL003"]
+        # file:line:col diagnostics, one per RPL003 finding (the CLI runs
+        # every rule, so the unpaired create is also an RPL102).
+        rpl003_lines = [
+            ln for ln in out.splitlines()
+            if ln.startswith(_fixture("RPL003", "bad") + ":")
+            and ": RPL003 " in ln
+        ]
+        assert len(rpl003_lines) == EXPECTED_BAD["RPL003"]
 
     @pytest.mark.parametrize("code", sorted(EXPECTED_BAD))
     def test_every_bad_fixture_fails_from_the_cli(self, code, capsys):

@@ -1,9 +1,9 @@
-"""Tests for the whole-program lint pass (``repro lint --deep``).
+"""Tests for the whole-program lint rules (RPL101–105 in ``repro lint``).
 
 Mirrors the layering of ``tests/test_lint.py`` at the program level:
 
-* **clean-tree gate** — ``repro lint src/repro --deep`` must be clean,
-  making RPL101–105 repo-wide invariants;
+* **clean-tree gate** — the whole-program rules must be clean on
+  ``src/repro``, making RPL101–105 repo-wide invariants;
 * **fixture pairs** — each ``tests/lint_fixtures/deep/RPL10X_bad/``
   package (multi-file: the violation only exists *across* files) must
   trigger exactly rule RPL10X with the expected count, each
@@ -12,11 +12,10 @@ Mirrors the layering of ``tests/test_lint.py`` at the program level:
   (and the root/fact derivations they depend on) and assert the bad
   fixture goes quiet, proving the fixtures exercise live checkers;
 * **graph mechanics** — the pinned call-graph golden (edge triples for
-  the ``callgraph/`` fixture package), cache round-trips keyed on the
-  source-tree hash, and serialisation fidelity;
-* **CLI surface** — ``--deep`` exit codes, the path-error contract
-  (missing / unreadable / no python files → exit 2), and the <30 s
-  full-tree timing budget the CI job relies on.
+  the ``callgraph/`` fixture package) and fixpoint propagation;
+* **CLI surface** — exit codes for whole-program findings, the
+  path-error contract (missing / unreadable / no python files → exit 2),
+  and the <30 s full-tree timing budget the CI job relies on.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
+    Program,
     build_program,
     get_rule,
     iter_python_files,
-    lint_paths_deep,
-    lint_paths_with_deep,
-    load_program,
+    lint_paths,
+    parse_paths,
 )
 from repro.lint.dataflow import propagate_any, worker_entrypoints
-from repro.lint.graph import Program, source_tree_hash
 
 DEEP_FIXTURE_DIR = os.path.join(
     os.path.dirname(__file__), "lint_fixtures", "deep"
@@ -67,7 +65,12 @@ def _package(code: str, kind: str) -> str:
 
 
 def _lint_package(code: str, kind: str):
-    return lint_paths_deep([_package(code, kind)], rules=[get_rule(code)])
+    return lint_paths([_package(code, kind)], rules=[get_rule(code)])
+
+
+def _program(path: str) -> Program:
+    contexts, _ = parse_paths([path])
+    return build_program(contexts)
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +80,10 @@ def _lint_package(code: str, kind: str):
 
 class TestCleanTree:
     def test_src_repro_is_deep_clean(self):
-        report = lint_paths_deep([SRC_REPRO])
+        report = lint_paths(
+            [SRC_REPRO], rules=[get_rule(code) for code in DEEP_CODES]
+        )
         assert report.files_checked > 50
-        assert report.ok, "\n" + report.format_text()
-
-    def test_combined_pass_is_clean(self):
-        report = lint_paths_with_deep([SRC_REPRO])
         assert report.ok, "\n" + report.format_text()
 
     def test_deep_rules_are_registered_and_marked(self):
@@ -94,7 +95,7 @@ class TestCleanTree:
     def test_worker_entrypoints_exist_in_tree(self):
         # The spawn-safety and span-safety rules are vacuous without
         # roots; the real tree must provide them.
-        program = build_program(iter_python_files([SRC_REPRO]))
+        program = _program(SRC_REPRO)
         roots = worker_entrypoints(program)
         assert any(q.endswith(".init_worker") for q in roots)
         assert any(q.endswith(".run_chunk") for q in roots)
@@ -123,7 +124,7 @@ class TestCleanTree:
 
     def test_tree_has_engine_taker_call_sites(self):
         # RPL103 must actually be checking edges on the real tree.
-        program = build_program(iter_python_files([SRC_REPRO]))
+        program = _program(SRC_REPRO)
         checked = 0
         for fn in program.functions.values():
             if not fn.accepts_engine:
@@ -211,16 +212,13 @@ class TestMutation:
 
 
 # ---------------------------------------------------------------------------
-# Graph mechanics: golden, cache, serialisation
+# Graph mechanics: golden, propagation
 # ---------------------------------------------------------------------------
 
 
 class TestGraph:
     def _fixture_program(self) -> Program:
-        files = iter_python_files(
-            [os.path.join(DEEP_FIXTURE_DIR, "callgraph")]
-        )
-        return build_program(files)
+        return _program(os.path.join(DEEP_FIXTURE_DIR, "callgraph"))
 
     def test_callgraph_matches_golden(self):
         # Regenerate with:
@@ -236,44 +234,6 @@ class TestGraph:
     def test_golden_covers_every_edge_kind(self):
         kinds = {kind for _, _, kind in self._fixture_program().edges_json()}
         assert kinds == {"direct", "method", "init", "registry", "fallback"}
-
-    def test_program_json_round_trip(self):
-        program = self._fixture_program()
-        clone = Program.from_json(program.to_json())
-        assert clone.edges_json() == program.edges_json()
-        assert set(clone.functions) == set(program.functions)
-        for q in program.functions:
-            assert (
-                clone.functions[q].as_dict() == program.functions[q].as_dict()
-            )
-
-    def test_cache_round_trip(self, tmp_path):
-        files = iter_python_files(
-            [os.path.join(DEEP_FIXTURE_DIR, "callgraph")]
-        )
-        first = load_program(files, cache_dir=str(tmp_path))
-        cached = list(tmp_path.glob("deepgraph-*.json"))
-        assert len(cached) == 1
-        second = load_program(files, cache_dir=str(tmp_path))
-        assert second.edges_json() == first.edges_json()
-
-    def test_corrupt_cache_is_rebuilt(self, tmp_path):
-        files = iter_python_files(
-            [os.path.join(DEEP_FIXTURE_DIR, "callgraph")]
-        )
-        load_program(files, cache_dir=str(tmp_path))
-        (entry,) = tmp_path.glob("deepgraph-*.json")
-        entry.write_text("{ not json")
-        program = load_program(files, cache_dir=str(tmp_path))
-        assert program.edges_json()  # rebuilt, not crashed
-
-    def test_source_hash_tracks_content(self, tmp_path):
-        a = tmp_path / "a.py"
-        a.write_text("x = 1\n")
-        h1 = source_tree_hash([str(a)])
-        a.write_text("x = 2\n")
-        h2 = source_tree_hash([str(a)])
-        assert h1 != h2
 
     def test_propagate_any_reaches_fixpoint_over_cycles(self):
         # Two functions calling each other: a local fact on one must
@@ -309,7 +269,7 @@ class TestDeepPragmas:
             "    return schedule(inst, m)  "
             "# repro-lint: disable=RPL103 -- benchmark pins the default\n",
         )
-        report = lint_paths_deep([pkg], rules=[get_rule("RPL103")])
+        report = lint_paths([pkg], rules=[get_rule("RPL103")])
         assert report.ok
         assert report.suppressed == 1
 
@@ -321,8 +281,12 @@ class TestDeepPragmas:
             "def run(inst, m, engine=None):\n"
             "    return schedule(inst, m)  # repro-lint: disable=RPL103\n",
         )
-        report = lint_paths_deep([pkg], rules=[get_rule("RPL103")])
-        assert len(report.diagnostics) == 1
+        report = lint_paths([pkg], rules=[get_rule("RPL103")])
+        # The finding stands, and the one pragma scan reports the missing
+        # justification once, as for any rule selection.
+        assert [(d.rule, d.line) for d in report.diagnostics] == [
+            ("RPL103", 4), ("RPL000", 4),
+        ]
         assert report.suppressed == 0
 
 
@@ -333,22 +297,26 @@ class TestDeepPragmas:
 
 class TestCli:
     def test_deep_clean_tree_exits_zero(self, capsys):
-        assert main(["lint", SRC_REPRO, "--deep"]) == 0
+        assert main(["lint", SRC_REPRO]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_deep_bad_package_exits_one(self, capsys):
-        code = main([
-            "lint", _package("RPL103", "bad"), "--deep", "--rule", "RPL103",
-        ])
-        assert code == 1
+        assert main(["lint", _package("RPL103", "bad")]) == 1
         assert "RPL103" in capsys.readouterr().out
 
-    def test_deep_rules_inert_without_flag(self, capsys):
-        assert main(["lint", _package("RPL103", "bad")]) == 0
+    def test_rule_list_mixes_file_local_and_deep_codes(self, capsys):
+        code = main([
+            "lint", _package("RPL102", "bad"), "--rule", "RPL003",
+            "--rule", "RPL102", "--format", "json",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        rules = sorted(f["rule"] for f in payload["findings"])
+        assert rules == ["RPL003", "RPL003", "RPL102", "RPL102"]
 
     def test_deep_json_format(self, capsys):
         code = main([
-            "lint", _package("RPL101", "bad"), "--deep", "--rule", "RPL101",
+            "lint", _package("RPL101", "bad"), "--rule", "RPL101",
             "--format", "json",
         ])
         assert code == 1
@@ -364,7 +332,7 @@ class TestCli:
         assert "[deep]" in out and "[file]" in out
 
     def test_missing_path_exits_two(self, capsys):
-        assert main(["lint", "does/not/exist.py", "--deep"]) == 2
+        assert main(["lint", "does/not/exist.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_no_python_files_exits_two(self, tmp_path, capsys):
@@ -386,15 +354,6 @@ class TestCli:
         assert main(["lint", str(target)]) == 2
         assert "unreadable" in capsys.readouterr().err
 
-    def test_graph_cache_flag_writes_cache(self, tmp_path, capsys):
-        cache = tmp_path / "graphcache"
-        code = main([
-            "lint", _package("RPL103", "ok"), "--deep",
-            "--graph-cache", str(cache),
-        ])
-        assert code == 0
-        assert list(cache.glob("deepgraph-*.json"))
-
 
 # ---------------------------------------------------------------------------
 # Timing budget
@@ -403,11 +362,11 @@ class TestCli:
 
 class TestTiming:
     def test_full_tree_deep_pass_under_budget(self):
-        # CI runs `repro lint --deep` on every push; the whole pass —
-        # file-local rules + graph build + deep rules — must stay well
+        # CI runs `repro lint` on every push; the whole pass — parse,
+        # file-local rules, graph build, deep rules — must stay well
         # under 30 s or the lint job becomes the critical path.
         start = time.monotonic()
-        report = lint_paths_with_deep([SRC_REPRO])
+        report = lint_paths([SRC_REPRO])
         elapsed = time.monotonic() - start
         assert report.files_checked > 50
         assert elapsed < 30.0, f"deep pass took {elapsed:.1f}s"
