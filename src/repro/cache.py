@@ -87,7 +87,7 @@ __all__ = [
 #: Bump on any wire-format or key-derivation change; part of both the
 #: content key and the entry header, so stale entries miss (key) and
 #: tampered headers fail loudly (header check).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable naming the cache directory (unset = disabled).
 DIR_ENV = "REPRO_CACHE_DIR"

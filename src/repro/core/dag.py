@@ -28,7 +28,26 @@ import numpy as np
 from repro import obs
 from repro.util.errors import InvalidInstanceError
 
-__all__ = ["Dag", "csr_from_edges", "batch_csr_from_edges", "batch_levels"]
+__all__ = [
+    "Dag",
+    "csr_from_edges",
+    "batch_csr_from_edges",
+    "batch_levels",
+    "level_groups",
+    "DESC_CHUNK_BITS",
+]
+
+#: Column width of one bitset chunk in :meth:`Dag.descendant_counts`:
+#: 64 words of 64 bits, 512 bytes per vertex row.
+DESC_CHUNK_BITS = 64 * 64
+
+#: Test-only fault-injection point for the reverse-level mutation-kill
+#: suite (``tests/test_priority_reduction.py``).  One of ``None``
+#: (production) or ``"level_off_by_one"`` (every level boundary of
+#: :meth:`Dag.reverse_level_layout` slips by one parent, so each level's
+#: first parent is reduced with the level below it, before its children
+#: are final).  Never set outside tests.
+_MUTATION = None
 
 
 def csr_from_edges(
@@ -197,7 +216,6 @@ class Dag:
         "_topo_order",
         "_b_level",
         "_desc_exact",
-        "_desc_approx",
         "_succ_lists",
         "_indeg_list",
         "_adopted",
@@ -226,7 +244,6 @@ class Dag:
         self._topo_order = None
         self._b_level = None
         self._desc_exact = None
-        self._desc_approx = None
         self._succ_lists = None
         self._indeg_list = None
         self._adopted = False
@@ -397,7 +414,6 @@ class Dag:
         "outdegree": "_outdegree",
         "b_level": "_b_level",
         "desc_exact": "_desc_exact",
-        "desc_approx": "_desc_approx",
         "succ_off": "_succ_off",
         "succ_tgt": "_succ_tgt",
         "pred_off": "_pred_off",
@@ -488,6 +504,7 @@ class Dag:
         if self.n == 0:
             self._level_of = level
             self._num_levels = 0
+            self._topo_order = np.empty(0, dtype=np.int64)
             return
         indeg = self.indegree()
         off, tgt = self.successor_csr()
@@ -530,25 +547,63 @@ class Dag:
         return [order[bounds[j] : bounds[j + 1]] for j in range(d)]
 
     # ------------------------------------------------------------------
-    # longest paths
+    # reverse-level reductions
     # ------------------------------------------------------------------
+
+    def reverse_level_layout(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The successor CSR laid out deepest level first.
+
+        Returns ``(parents, children, seg, bounds)``:
+
+        * ``parents`` — every vertex with at least one child, grouped by
+          level, deepest level first;
+        * ``children`` — their successors, gathered in that order;
+        * ``seg`` — ``parents[j]``'s children are
+          ``children[seg[j]:seg[j + 1]]`` (``len(parents) + 1`` entries);
+        * ``bounds`` — group ``g`` is ``parents[bounds[g]:bounds[g + 1]]``,
+          one group per level that has children.
+
+        Every child sits on a deeper level than its parent, so once the
+        groups before ``g`` are reduced, all children of group ``g`` hold
+        final values: a bottom-up quantity costs one ``ufunc.reduceat``
+        per level (see :func:`level_groups`) instead of one step per
+        vertex.  Built per call from the CSR and level caches.
+        """
+        if self.num_levels() < 0:
+            raise InvalidInstanceError("graph contains a cycle")
+        off, tgt = self.successor_csr()
+        deg = np.diff(off)
+        deepest_first = self.topological_order()[::-1]  # it is level-major
+        parents = deepest_first[deg[deepest_first] > 0]
+        children = _gather_csr(off, tgt, parents)
+        seg = np.zeros(parents.size + 1, dtype=np.int64)
+        np.cumsum(deg[parents], out=seg[1:])
+        pl = self.level_of()[parents]
+        bounds = np.zeros(1, dtype=np.int64)
+        if parents.size:
+            cut = np.flatnonzero(pl[1:] != pl[:-1]) + 1
+            bounds = np.concatenate((bounds, cut, [parents.size]))
+        if _MUTATION == "level_off_by_one":
+            bounds[1:-1] += 1
+            bounds = np.unique(bounds)
+        return parents, children, seg, bounds
 
     def b_levels(self) -> np.ndarray:
         """Longest path (in vertices) from each vertex down to a leaf.
 
         A leaf has b-level 1; a vertex one hop above a leaf has b-level 2.
-        This matches Pautz's definition used by DFDS priorities.
+        This matches Pautz's definition used by DFDS priorities.  One
+        ``np.maximum.reduceat`` per level over
+        :meth:`reverse_level_layout`.
         """
         if self._b_level is None:
             self._note_build()
             b = np.ones(self.n, dtype=np.int64)
-            order = self.topological_order()
-            off, tgt = self.successor_csr()
-            # Reverse topological order: successors already finalised.
-            for v in order[::-1]:
-                s = tgt[off[v] : off[v + 1]]
-                if s.size:
-                    b[v] = 1 + b[s].max()
+            parents, children, seg, bounds = self.reverse_level_layout()
+            for ps, es, starts in level_groups(seg, bounds):
+                b[parents[ps]] = np.maximum.reduceat(b[children[es]], starts) + 1
             self._b_level = b
         return self._b_level.copy()
 
@@ -562,46 +617,51 @@ class Dag:
     # reachability
     # ------------------------------------------------------------------
 
-    def descendant_counts(self, exact: bool | None = None) -> np.ndarray:
+    def descendant_counts(self) -> np.ndarray:
         """Number of distinct descendants of each vertex (excluding itself).
 
-        ``exact=True`` computes true reachability with packed uint64
-        bitsets — O(n^2/64) words, vectorised; fine up to ~30k vertices.
-        ``exact=False`` returns the cheap upper bound that sums child
-        counts (over-counts shared descendants).  ``None`` (default) picks
-        exact for n <= 20000 and the approximation above that.
+        Exact at every ``n``: reachability as packed ``uint64`` bitsets,
+        one ``np.bitwise_or.reduceat(..., axis=0)`` per level over
+        :meth:`reverse_level_layout`, popcounted.  The target vertices are
+        split into column chunks of :data:`DESC_CHUNK_BITS`, numbered in
+        topological order, so a chunk skips every level deeper than its
+        own columns and its bitset matrix holds at most
+        ``n * DESC_CHUNK_BITS / 8`` bytes (512 bytes per vertex), plus one
+        level's gathered child rows.  Total work is ``O(E * n / 64)``
+        word operations.
         """
-        if exact is None:
-            exact = self.n <= 20_000
-        if not exact:
-            if self._desc_approx is None:
-                self._note_build()
-                approx = np.zeros(self.n, dtype=np.int64)
-                order = self.topological_order()
-                off, tgt = self.successor_csr()
-                for v in order[::-1]:
-                    s = tgt[off[v] : off[v + 1]]
-                    if s.size:
-                        approx[v] = s.size + approx[s].sum()
-                self._desc_approx = approx
-            return self._desc_approx.copy()
-        if self._desc_exact is not None:
-            return self._desc_exact.copy()
-        self._note_build()
-        words = (self.n + 63) // 64
-        reach = np.zeros((self.n, words), dtype=np.uint64)
-        order = self.topological_order()
-        off, tgt = self.successor_csr()
-        word_idx = np.arange(self.n) >> 6
-        bit = (np.uint64(1) << (np.arange(self.n, dtype=np.uint64) & np.uint64(63)))
-        for v in order[::-1]:
-            s = tgt[off[v] : off[v + 1]]
-            if s.size:
-                # OR together children's reach sets plus the children bits.
-                row = reach[v]
-                np.bitwise_or.reduce(reach[s], axis=0, out=row)
-                np.bitwise_or.at(row, word_idx[s], bit[s])
-        self._desc_exact = _popcount_rows(reach)
+        if self._desc_exact is None:
+            self._note_build()
+            n = self.n
+            parents, children, seg, bounds = self.reverse_level_layout()
+            groups = [
+                (parents[ps], children[es], starts)
+                for ps, es, starts in level_groups(seg, bounds)
+            ]
+            topo = self.topological_order()
+            lev = self.level_of()
+            # The groups' levels (descending), negated for searchsorted.
+            neg_level = -lev[parents[bounds[:-1]]]
+            counts = np.full(n, -1, dtype=np.int64)  # own bit counted once
+            for c0 in range(0, n, DESC_CHUNK_BITS):
+                cols = topo[c0 : c0 + DESC_CHUNK_BITS]
+                bit = np.arange(cols.size, dtype=np.uint64)
+                reach = np.zeros((n, (cols.size + 63) >> 6), dtype=np.uint64)
+                reach[cols, bit >> np.uint64(6)] = (
+                    np.uint64(1) << (bit & np.uint64(63))
+                )
+                # Only levels above the chunk's deepest column reach it.
+                first = int(
+                    np.searchsorted(neg_level, -lev[cols[-1]], side="right")
+                )
+                for p, c, starts in groups[first:]:
+                    rows = np.bitwise_or.reduceat(
+                        reach.take(c, axis=0), starts, axis=0
+                    )
+                    rows |= reach.take(p, axis=0)  # a parent's own bit
+                    reach[p] = rows
+                counts += _popcount_rows(reach)
+            self._desc_exact = counts
         return self._desc_exact.copy()
 
     def reachable_from(self, v: int) -> np.ndarray:
@@ -634,6 +694,23 @@ class Dag:
         return f"Dag(n={self.n}, edges={self.num_edges})"
 
 
+def level_groups(seg: np.ndarray, bounds: np.ndarray):
+    """Walk a :meth:`Dag.reverse_level_layout` one level at a time.
+
+    Yields ``(parent_slice, edge_slice, starts)`` per group of
+    ``bounds``: the group's parents are ``parents[parent_slice]``, their
+    children (and any edge-aligned array) ``children[edge_slice]``, and
+    ``starts`` are the ``reduceat`` indices of each parent's children
+    within that slice.
+    """
+    lo, hi = bounds[:-1], bounds[1:]
+    starts = seg[:-1] - np.repeat(seg[lo], hi - lo)
+    for a, b, e0, e1 in zip(
+        lo.tolist(), hi.tolist(), seg[lo].tolist(), seg[hi].tolist()
+    ):
+        yield slice(a, b), slice(e0, e1), starts[a:b]
+
+
 def _decrement_indegrees(indeg: np.ndarray, succ: np.ndarray) -> np.ndarray:
     """Subtract each vertex's multiplicity in ``succ`` from ``indeg``.
 
@@ -664,11 +741,11 @@ def _gather_csr(off: np.ndarray, tgt: np.ndarray, nodes: np.ndarray) -> np.ndarr
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=tgt.dtype)
-    # index[i] walks each slice: starts repeated, plus an intra-slice ramp.
-    reps = np.repeat(starts, lengths)
-    ramp = np.arange(total, dtype=np.int64)
-    slice_starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return tgt[reps + (ramp - slice_starts)]
+    # index[i] is a ramp over the output, shifted per slice to its CSR
+    # start; built in place, so the peak is two output-sized arrays.
+    index = np.arange(total, dtype=np.int64)
+    index += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return tgt[index]
 
 
 def _popcount_rows(bits: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ __all__ = ["blevel_priorities", "blevel_schedule"]
 
 
 def blevel_priorities(inst: SweepInstance) -> np.ndarray:
-    """b-level of every task within its own direction DAG."""
-    out = np.empty(inst.n_tasks, dtype=np.int64)
-    n = inst.n_cells
-    for i, g in enumerate(inst.dags):
-        out[i * n : (i + 1) * n] = g.b_levels()
-    return out
+    """b-level of every task within its own direction DAG.
+
+    The union DAG is block diagonal, so its b-levels are the
+    per-direction ones; one reverse-level pass runs ``max_i D_i`` levels
+    and the result lands in the union's cache, which ships to workers.
+    """
+    return inst.union_dag().b_levels()
 
 
 def blevel_schedule(

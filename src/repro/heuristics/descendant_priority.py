@@ -17,12 +17,12 @@ from repro.core.schedule import Schedule
 __all__ = ["descendant_priority_schedule", "descendant_counts_per_task"]
 
 
-def descendant_counts_per_task(inst: SweepInstance, exact: bool | None = None) -> np.ndarray:
+def descendant_counts_per_task(inst: SweepInstance) -> np.ndarray:
     """Descendant count of every task within its own direction DAG."""
     out = np.empty(inst.n_tasks, dtype=np.int64)
     n = inst.n_cells
     for i, g in enumerate(inst.dags):
-        out[i * n : (i + 1) * n] = g.descendant_counts(exact=exact)
+        out[i * n : (i + 1) * n] = g.descendant_counts()
     return out
 
 
@@ -33,19 +33,13 @@ def descendant_priority_schedule(
     assignment: np.ndarray | None = None,
     with_delays: bool = False,
     delays: np.ndarray | None = None,
-    exact_counts: bool | None = None,
     engine: str = "auto",
 ) -> Schedule:
-    """List scheduling with descendant-count priorities (± random delays).
-
-    ``exact_counts`` is forwarded to :meth:`Dag.descendant_counts`;
-    ``None`` auto-selects exact bitset counting for small graphs.
-    """
+    """List scheduling with exact descendant-count priorities (± random
+    delays); counts come from :meth:`Dag.descendant_counts`."""
     return priority_delay_schedule(
         inst, m, seed=seed, assignment=assignment, delays=delays,
         with_delays=with_delays, engine=engine,
         name="descendant_delays" if with_delays else "descendant",
-        key=lambda inst, _assignment: descendant_counts_per_task(
-            inst, exact=exact_counts
-        ),
+        key=lambda inst, _assignment: descendant_counts_per_task(inst),
     )

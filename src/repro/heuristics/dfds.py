@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.assignment import random_cell_assignment
+from repro.core.dag import level_groups
 from repro.core.instance import SweepInstance
 from repro.core.priority_delay import priority_delay_schedule
 from repro.core.schedule import Schedule
@@ -31,38 +32,50 @@ from repro.util.rng import as_rng
 
 __all__ = ["dfds_priorities", "dfds_schedule"]
 
+#: Test-only fault-injection point for the reverse-level mutation-kill
+#: suite (``tests/test_priority_reduction.py``).  One of ``None``
+#: (production) or ``"dropped_clamp"`` (the ``max(child) - 1``
+#: propagation loses its clamp at 0, so a task with children but no
+#: off-processor descendant goes negative).  Never set outside tests.
+_MUTATION = None
+
 
 def dfds_priorities(inst: SweepInstance, assignment: np.ndarray) -> np.ndarray:
     """DFDS priority of every task (higher runs first).
 
-    Computed independently per direction DAG in reverse topological
-    order, as described above.
+    ``assignment`` maps cells to processors.  Computed on the union DAG
+    (block diagonal, so each task only sees its own direction), level by
+    level from the deepest, with ``K_i`` the level count of direction
+    ``i``: the off-processor flag and ``max(child b-level) + K_i`` are
+    one vectorised pass over all edges; only the clamped
+    ``max(child) - 1`` propagation loops, once per level of the deepest
+    direction (``max_i D_i`` steps, not ``sum_i D_i``).
     """
-    assignment = np.asarray(assignment)
-    n = inst.n_cells
+    n, k = inst.n_cells, inst.k
     out = np.zeros(inst.n_tasks, dtype=np.int64)
-    for i, g in enumerate(inst.dags):
-        if n == 0:
-            continue
-        b = g.b_levels()
-        K = max(g.num_levels(), 1)
-        off, tgt = g.successor_csr()
-        off_l = off.tolist()
-        tgt_l = tgt.tolist()
-        proc = assignment.tolist()
-        b_l = b.tolist()
-        pr = [0] * n
-        for v in g.topological_order().tolist()[::-1]:
-            children = tgt_l[off_l[v] : off_l[v + 1]]
-            if not children:
-                continue
-            my_proc = proc[v]
-            if any(proc[c] != my_proc for c in children):
-                pr[v] = max(b_l[c] for c in children) + K
-            else:
-                best = max(pr[c] for c in children)
-                pr[v] = best - 1 if best > 0 else 0
-        out[i * n : (i + 1) * n] = pr
+    union = inst.union_dag()
+    b = union.b_levels()  # before the layout below: their peaks don't stack
+    parents, children, seg, bounds = union.reverse_level_layout()
+    if not parents.size:
+        return out
+    proc = np.tile(np.asarray(assignment), k)
+    starts = seg[:-1]
+    # A parent has an off-processor child iff its children's processors
+    # are not all its own: their min or max differs from it.
+    child_proc = proc[children]
+    own = proc[parents]
+    off_proc = (np.minimum.reduceat(child_proc, starts) != own) | (
+        np.maximum.reduceat(child_proc, starts) != own
+    )
+    K = union.level_of().reshape(k, n).max(axis=1) + 1
+    seeded = parents[off_proc]
+    out[seeded] = np.maximum.reduceat(b[children], starts)[off_proc] + K[seeded // n]
+    for ps, es, group_starts in level_groups(seg, bounds):
+        best = np.maximum.reduceat(out[children[es]], group_starts) - 1
+        if _MUTATION != "dropped_clamp":
+            np.maximum(best, 0, out=best)
+        inner = ~off_proc[ps]
+        out[parents[ps][inner]] = best[inner]
     return out
 
 

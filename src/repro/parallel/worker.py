@@ -33,8 +33,8 @@ def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None
     the per-direction levels behind ``task_levels`` (the priority basis
     of the random-delay family) — everything the frontier kernel reads.
     Warmed on demand: per-direction descendant counts
-    (``descendant*``), b-levels and successor CSR (``dfds*`` /
-    ``blevel*``).
+    (``descendant*``) and the union DAG's b-levels (``dfds*`` /
+    ``blevel*``, which read only union caches).
 
     Everything warmed here ships to attached workers through the
     shared-memory cache wire format, so a worker running the frontier
@@ -59,9 +59,7 @@ def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None
         for g in inst.dags:
             g.descendant_counts()
     if any(n.startswith(("dfds", "blevel")) for n in names):
-        for g in inst.dags:
-            g.b_levels()
-            g.successor_csr()
+        union.b_levels()
 
 
 def _die_with_parent() -> None:

@@ -183,17 +183,12 @@ class TestLongestPaths:
 
 class TestReachability:
     def test_descendant_counts_diamond(self, diamond_dag):
-        assert list(diamond_dag.descendant_counts(exact=True)) == [3, 1, 1, 0]
+        assert list(diamond_dag.descendant_counts()) == [3, 1, 1, 0]
 
     def test_descendant_counts_shared_descendant_not_double_counted(self):
         g = Dag.from_edge_list(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         # Vertex 3 reachable through both branches; exact count is 3 not 4.
-        assert g.descendant_counts(exact=True)[0] == 3
-
-    def test_approximate_counts_overcount_shared(self):
-        g = Dag.from_edge_list(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        approx = g.descendant_counts(exact=False)
-        assert approx[0] == 4  # 3 counted twice via both branches
+        assert g.descendant_counts()[0] == 3
 
     def test_auto_selects_exact_for_small(self, diamond_dag):
         assert list(diamond_dag.descendant_counts()) == [3, 1, 1, 0]
@@ -207,16 +202,9 @@ class TestReachability:
     @settings(max_examples=30, deadline=None)
     def test_exact_descendants_match_networkx(self, g):
         nxg = g.to_networkx()
-        counts = g.descendant_counts(exact=True)
+        counts = g.descendant_counts()
         for v in range(g.n):
             assert counts[v] == len(nx.descendants(nxg, v))
-
-    @given(dags(max_n=20))
-    @settings(max_examples=30, deadline=None)
-    def test_approx_upper_bounds_exact(self, g):
-        exact = g.descendant_counts(exact=True)
-        approx = g.descendant_counts(exact=False)
-        assert np.all(approx >= exact)
 
 
 class TestNetworkxRoundtrip:
@@ -272,14 +260,13 @@ class TestMemoization:
     arrays handed out must be private copies the caller can scribble on.
     """
 
-    def test_descendant_counts_cached_per_mode(self):
+    def test_descendant_counts_cached_and_copied(self):
         g = Dag.from_edge_list(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
-        exact = g.descendant_counts(exact=True)
-        approx = g.descendant_counts(exact=False)
-        assert np.array_equal(g.descendant_counts(exact=True), exact)
-        assert np.array_equal(g.descendant_counts(exact=False), approx)
-        exact[:] = -1
-        assert np.all(g.descendant_counts(exact=True) >= 0)
+        counts = g.descendant_counts()
+        assert g._desc_exact is not None
+        assert np.array_equal(g.descendant_counts(), counts)
+        counts[:] = -1
+        assert list(g.descendant_counts()) == [4, 1, 0, 1, 0]
 
     def test_successor_lists_match_csr(self):
         g = Dag.from_edge_list(4, [(0, 1), (0, 2), (2, 3)])

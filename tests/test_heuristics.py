@@ -51,7 +51,7 @@ class TestLevelPriority:
 
 class TestDescendantPriority:
     def test_counts_per_task_match_dags(self, chain_instance):
-        counts = descendant_counts_per_task(chain_instance, exact=True)
+        counts = descendant_counts_per_task(chain_instance)
         assert list(counts[:4]) == [3, 2, 1, 0]
         assert list(counts[4:]) == [0, 1, 2, 3]
 

@@ -26,15 +26,17 @@ import pytest
 from repro import obs
 from repro.experiments.bench import WORKER_RSS_CEILING_MB
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import run_grid
+from repro.experiments.runner import clear_caches, run_grid
 from repro.parallel import DispatchStats
 
 
-def _grid_config(engine: str) -> ExperimentConfig:
+def _grid_config(
+    engine: str, algorithms: tuple = ("random_delay_priority",)
+) -> ExperimentConfig:
     return ExperimentConfig(
         mesh="tetonly", target_cells=250, k=4,
         m_values=(8,), block_sizes=(1,),
-        algorithms=("random_delay_priority",),
+        algorithms=algorithms,
         seeds=(0, 1, 2, 3), name=f"rss-grid-{engine}",
         engine=engine,
     )
@@ -80,6 +82,18 @@ class TestWorkerRssAndZeroRebuild:
             "touches"
         )
         # Adopting instead of rebuilding must not change the results.
+        assert parallel == serial
+
+    def test_union_priority_workers_rebuild_no_caches(self, traced_env):
+        """DFDS and b-level priorities read only the union DAG's caches,
+        which the warm-up ships: workers rebuild nothing for them."""
+        config = _grid_config("vector", ("dfds", "blevel_delays"))
+        serial = run_grid(config, with_comm=False, workers=1)
+        clear_caches()  # publish a fresh instance, warmed only by the grid
+        obs.reset()
+        parallel = run_grid(config, with_comm=False, workers=2)
+        metrics = obs.drain_metrics()
+        assert metrics["counters"].get("dag.cache.rebuild", 0) == 0
         assert parallel == serial
 
     def test_rebuild_counter_is_live(self, traced_env):

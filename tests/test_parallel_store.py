@@ -67,13 +67,15 @@ class TestRoundTrip:
             # Adopted caches are already materialised on the attached side …
             assert union._num_levels is not None
             assert union._topo_order is not None
+            assert union._b_level is not None
             for g in got.dags:
-                assert g._desc_exact is not None or g._desc_approx is not None
-                assert g._b_level is not None
+                assert g._desc_exact is not None
             # … and they carry the same values the parent computed.
-            assert union.num_levels() == inst.union_dag().num_levels()
+            parent_union = inst.union_dag()
+            assert union.num_levels() == parent_union.num_levels()
+            assert np.array_equal(union._b_level, parent_union._b_level)
             for a, b in zip(inst.dags, got.dags):
-                assert np.array_equal(a.b_levels(), b.b_levels())
+                assert np.array_equal(a._desc_exact, b._desc_exact)
             detach_all()
 
     def test_attached_views_are_read_only(self, inst):
