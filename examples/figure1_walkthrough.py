@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import SweepInstance
 from repro.mesh import unit_square_tri
-from repro.sweeps import build_instance, circle_directions, sweep_dag, sweep_edges
+from repro.sweeps import build_instance, circle_directions
 
 
 def main() -> None:
@@ -37,15 +37,14 @@ def main() -> None:
     if mesh.n_faces > 8:
         print(f"  ... {mesh.n_faces - 8} more faces")
 
-    # The induced DAG and its levels (Figure 1(b)).
-    dag = sweep_dag(mesh, direction)
+    # The induced DAG and its levels (Figure 1(b)), built together with
+    # the DAG of the opposite direction.
+    dag, other_dag = build_instance(mesh, np.stack([direction, -direction])).dags
     print(f"\ninduced DAG: {dag.num_edges} edges, {dag.num_levels()} levels")
     for j, level in enumerate(dag.levels()):
         print(f"  L{j + 1}: cells {sorted(level.tolist())}")
 
     # A second direction induces a *different* DAG on the same cells.
-    other = -direction
-    other_dag = sweep_dag(mesh, other)
     shared = set(map(tuple, dag.edges.tolist())) & set(
         map(tuple, other_dag.edges.tolist())
     )

@@ -87,7 +87,7 @@ __all__ = [
 #: Bump on any wire-format or key-derivation change; part of both the
 #: content key and the entry header, so stale entries miss (key) and
 #: tampered headers fail loudly (header check).
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Environment variable naming the cache directory (unset = disabled).
 DIR_ENV = "REPRO_CACHE_DIR"
@@ -351,7 +351,7 @@ def load_instance(key: str) -> "SweepInstance | None":
 
     Zero-copy over the entry payload, no validation or cache
     recomputation — every memo cache materialised at store time (levels,
-    CSR, ``task_levels``) comes back adopted.  For publishing straight to
+    CSR, the union DAG) comes back adopted.  For publishing straight to
     shared memory without building Python DAG objects at all, pair
     :func:`load_arrays` with
     :meth:`repro.parallel.SharedInstanceStore.publish_arrays` instead.

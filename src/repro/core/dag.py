@@ -32,7 +32,6 @@ __all__ = [
     "Dag",
     "csr_from_edges",
     "batch_csr_from_edges",
-    "batch_levels",
     "level_groups",
     "DESC_CHUNK_BITS",
 ]
@@ -112,77 +111,6 @@ def batch_csr_from_edges(
             (offsets, targets_all[edge_starts[i] : edge_starts[i + 1]])
         )
     return out
-
-
-def batch_levels(dags: list["Dag"]) -> np.ndarray:
-    """Level structure of ``k`` same-size DAGs in one frontier sweep.
-
-    Runs the level-peeling loop of :meth:`Dag._compute_levels` once over
-    the block-diagonal union of all DAGs (task ids ``i * n + v``) instead
-    of once per DAG: the union frontier advances every direction's
-    wavefront simultaneously, so the Python-loop iteration count drops
-    from ``sum_i depth_i`` to ``max_i depth_i``.  Levels are canonical
-    (determined by graph structure alone) and each frontier chunk is
-    sorted ascending, so the per-DAG ``level_of`` / ``num_levels`` /
-    ``topological_order`` caches installed here are bit-identical to what
-    each DAG would compute for itself; ``level_of`` views share one flat
-    buffer, which is returned (it doubles as
-    :meth:`repro.core.instance.SweepInstance.task_levels`).  Cyclic DAGs
-    (possible only with ``validate=False`` construction) keep the ``-1``
-    sentinel and ``num_levels == -1``, exactly like the per-DAG pass.
-    """
-    if not dags:
-        return np.empty(0, dtype=np.int64)
-    n = dags[0].n
-    k = len(dags)
-    for g in dags:
-        if g.n != n:
-            raise InvalidInstanceError(
-                f"batch_levels needs same-size DAGs; got {g.n} and {n}"
-            )
-    level = np.full(k * n, -1, dtype=np.int64)
-    if n == 0:
-        for g in dags:
-            g._level_of = level[:0]
-            g._num_levels = 0
-            g._topo_order = np.empty(0, dtype=np.int64)
-        return level
-    # Flat union CSR in task-id coordinates, assembled from the per-DAG
-    # successor CSRs (already shared-buffer slices on the batched path).
-    off_u = np.empty(k * n + 1, dtype=np.int64)
-    off_u[0] = 0
-    tgt_parts = []
-    indeg_parts = []
-    base = np.int64(0)
-    for i, g in enumerate(dags):
-        off, tgt = g.successor_csr()
-        off_u[i * n + 1 : (i + 1) * n + 1] = off[1:] + base
-        tgt_parts.append(tgt + np.int64(i * n))
-        indeg_parts.append(g.indegree())
-        base += np.int64(tgt.shape[0])
-    tgt_u = (
-        np.concatenate(tgt_parts) if tgt_parts else np.empty(0, dtype=np.int64)
-    )
-    indeg = np.concatenate(indeg_parts)
-    frontier = np.flatnonzero(indeg == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        succ = _gather_csr(off_u, tgt_u, frontier)
-        if succ.size:
-            frontier = _decrement_indegrees(indeg, succ)
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-        depth += 1
-    for i, g in enumerate(dags):
-        lev = level[i * n : (i + 1) * n]
-        g._level_of = lev
-        if lev.min(initial=0) < 0:
-            g._num_levels = -1
-        else:
-            g._num_levels = int(lev.max()) + 1
-            g._topo_order = np.argsort(lev, kind="stable")
-    return level
 
 
 class Dag:

@@ -87,7 +87,6 @@ class SweepInstance:
             else np.asarray(cell_graph_edges, dtype=np.int64).reshape(-1, 2)
         )
         self._union_dag: Dag | None = None
-        self._task_level: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # basic shape
@@ -154,57 +153,63 @@ class SweepInstance:
 
         This is the graph the Improved Random Delay algorithm preprocesses
         (Algorithm 3, step 1) and the graph every list scheduler runs on.
+        Its successor CSR is the per-direction CSRs stacked: direction
+        ``i`` owns the task ids ``[i*n, (i+1)*n)``, so one stable sort of
+        the union edges by source would produce exactly this layout.
         """
         if self._union_dag is None:
             n = self.n_cells
-            chunks = []
+            n_edges = sum(g.num_edges for g in self.dags)
+            edges = np.empty((n_edges, 2), dtype=np.int64)
+            off = np.zeros(self.n_tasks + 1, dtype=np.int64)
+            tgt = np.empty(n_edges, dtype=np.int64)
+            lo = 0
             for i, g in enumerate(self.dags):
-                if g.num_edges:
-                    chunks.append(g.edges + i * n)
-            edges = (
-                np.concatenate(chunks, axis=0)
-                if chunks
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            self._union_dag = Dag(self.n_tasks, edges, validate=False)
+                g_off, g_tgt = g.successor_csr()
+                hi = lo + g.num_edges
+                np.add(g.edges, i * n, out=edges[lo:hi])
+                np.add(g_off[1:], lo, out=off[i * n + 1 : (i + 1) * n + 1])
+                np.add(g_tgt, i * n, out=tgt[lo:hi])
+                lo = hi
+            union = Dag(self.n_tasks, edges, validate=False)
+            union._succ_off, union._succ_tgt = off, tgt
+            self._union_dag = union
         return self._union_dag
 
     def task_levels(self) -> np.ndarray:
         """Level of every task within its own direction DAG (0-indexed).
 
         ``task_levels()[i*n + v]`` is the layer of ``(v, i)`` in ``G_i``.
+        The direction copies in :meth:`union_dag` share no edge, so this
+        is the union's ``level_of()``: one frontier sweep advances every
+        direction's wavefront at once (``max_i D_i`` iterations, not
+        ``sum_i D_i``).  Each direction DAG without level caches gets
+        ``level_of`` / ``num_levels`` / ``topological_order`` from its
+        slice; levels are canonical, so they equal what the DAG would
+        compute for itself.  A cyclic direction (only possible with
+        ``validate=False`` DAGs) keeps ``-1`` levels in its slice and
+        ``num_levels() == -1``.
         """
-        if self._task_level is None:
-            out = np.empty(self.n_tasks, dtype=np.int64)
-            n = self.n_cells
-            for i, g in enumerate(self.dags):
-                out[i * n : (i + 1) * n] = g.level_of()
-            self._task_level = out
-        return self._task_level
+        level = self.union_dag().level_of()
+        n = self.n_cells
+        for i, g in enumerate(self.dags):
+            if g._level_of is None:
+                lev = level[i * n : (i + 1) * n]
+                g._level_of = lev
+                if lev.min(initial=0) < 0:
+                    g._num_levels = -1
+                else:
+                    g._num_levels = int(lev.max(initial=-1)) + 1
+                    g._topo_order = np.argsort(lev, kind="stable")
+        return level
 
     def warm_levels(self) -> np.ndarray:
-        """Materialise all per-direction levels in one batched sweep.
-
-        Runs :func:`repro.core.dag.batch_levels` over the block-diagonal
-        union of the direction DAGs — one frontier loop of ``max_i D_i``
-        iterations instead of ``k`` separate loops of ``D_i`` each — and
-        installs the (bit-identical) ``level_of`` / ``num_levels`` /
-        ``topological_order`` caches on every DAG plus the flat
-        :meth:`task_levels` array.  Idempotent; returns ``task_levels``.
-        The batched construction path
-        (:func:`repro.sweeps.dag_builder.build_instance_batched`) calls
-        this at build time; call it directly on hand-built instances
-        (e.g. the synthetic families) to pre-pay the level structure.
-        """
-        if self._task_level is None:
-            from repro.core.dag import batch_levels
-
-            self._task_level = batch_levels(self.dags)
-        return self._task_level
+        """Materialise every level cache; the same as :meth:`task_levels`."""
+        return self.task_levels()
 
     def depth(self) -> int:
         """``D``: the maximum number of levels over all directions."""
-        return max(g.num_levels() for g in self.dags)
+        return self.union_dag().num_levels()
 
     # ------------------------------------------------------------------
     # flat-array export / reconstruction (shared-memory instance plane)
@@ -241,8 +246,6 @@ class SweepInstance:
             arrays["union/edges"] = self._union_dag.edges
             for key, arr in cache_arrays.items():
                 arrays[f"union/{key}"] = arr
-        if self._task_level is not None:
-            arrays["task_level"] = self._task_level
         return meta, arrays
 
     @classmethod
@@ -288,8 +291,6 @@ class SweepInstance:
                 meta.get("union_scalars", {}), union_arrays, adopted=adopted
             )
             inst._union_dag = union
-        if "task_level" in arrays:
-            inst._task_level = arrays["task_level"]
         return inst
 
     def validate(self) -> None:

@@ -163,7 +163,7 @@ def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
     """
     from repro import cache as build_cache
     from repro.experiments.runner import _mesh_cache
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
+    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
     from repro.sweeps.directions import directions_for_mesh
 
     cache_s = 0.0
@@ -186,7 +186,7 @@ def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
         mesh = _mesh_cache("tetonly", cells, 0)
     dirs = directions_for_mesh(mesh.dim, k)
     with Timer() as t_build:
-        inst = build_instance_batched(mesh, dirs)
+        inst = build_instance(mesh, dirs)
     if key is not None:
         with Timer() as t_store:
             build_cache.store_instance(key, inst)
@@ -298,7 +298,7 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
 
     from repro import cache as build_cache
     from repro.mesh.generators import make_mesh
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
+    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
     from repro.sweeps.directions import directions_for_mesh
 
     cells = _bench_cells(smoke, cells)
@@ -312,7 +312,7 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
             before_hits = build_cache.COUNTERS["hit"]
             with Timer() as t_cold:
                 mesh = make_mesh("tetonly", target_cells=cells, seed=0)
-                inst = build_instance_batched(mesh, dirs)
+                inst = build_instance(mesh, dirs)
                 build_cache.store_instance(key, inst)
             with Timer() as t_warm:
                 warm = build_cache.load_instance(key)

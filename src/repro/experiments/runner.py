@@ -4,8 +4,8 @@ Meshes, instances, and block partitions are memoised per process — the
 grid sweeps in the figure reproductions reuse one instance across dozens
 of (algorithm, m, seed) cells, and the partitioner output across all
 seeds, exactly like the paper's setup ("we first do the same block
-assignment").  Instances are built through the batched fast path
-(:func:`repro.sweeps.dag_builder.build_instance_batched`) and — when
+assignment").  Instances are built by
+:func:`repro.sweeps.dag_builder.build_instance` and — when
 ``REPRO_CACHE_DIR`` is set — cached *across* processes by the
 content-addressed build cache (:mod:`repro.cache`), so bench, grid, and
 campaign reruns warm-start construction.
@@ -23,7 +23,7 @@ from repro.experiments.configs import ExperimentConfig
 from repro.heuristics.registry import get_algorithm
 from repro.mesh.generators import make_mesh, mesh_dim
 from repro.partition.multilevel import partition_mesh_blocks
-from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
+from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
 from repro.sweeps.directions import directions_for_mesh
 from repro.util.rng import spawn_rngs
 
@@ -76,7 +76,7 @@ def _instance_cache(mesh: str, target_cells: int, mesh_seed: int, k: int):
             return inst
     m = _mesh_cache(mesh, target_cells, mesh_seed)
     dirs = directions_for_mesh(m.dim, k)
-    inst = build_instance_batched(m, dirs)
+    inst = build_instance(m, dirs)
     if key is not None:
         build_cache.store_instance(key, inst)
     return inst

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.mesh.mesh import Mesh
 from repro.util.errors import MeshError
 from repro.util.rng import as_rng
@@ -182,7 +183,12 @@ def make_mesh(name: str, target_cells: int = 2000, seed=0, **kwargs) -> Mesh:
         raise MeshError(
             f"unknown mesh {name!r}; known: {', '.join(MESH_GENERATORS)}"
         ) from None
-    return gen(target_cells=target_cells, seed=seed, **kwargs)
+    with obs.span(
+        "mesh.generate",
+        cat="mesh",
+        args_fn=lambda: {"family": name, "n": target_cells},
+    ):
+        return gen(target_cells=target_cells, seed=seed, **kwargs)
 
 
 def mesh_dim(name: str) -> int:

@@ -29,9 +29,10 @@ def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None
     """Materialise the memo caches the given workload will need.
 
     Always warmed (every list-scheduling engine touches them): the union
-    DAG, its successor CSR, indegree/outdegree, and level structure, plus
-    the per-direction levels behind ``task_levels`` (the priority basis
-    of the random-delay family) — everything the frontier kernel reads.
+    DAG, its successor CSR, indegree/outdegree, and level structure
+    (``task_levels``, the priority basis of the random-delay family,
+    which also leaves every direction DAG its level slice), plus the
+    per-direction degrees — everything the frontier kernel reads.
     Warmed on demand: per-direction descendant counts
     (``descendant*``) and the union DAG's b-levels (``dfds*`` /
     ``blevel*``, which read only union caches).
@@ -43,15 +44,10 @@ def warm_instance(inst: "SweepInstance", algorithms: Iterable[str] = ()) -> None
     caches are all numpy arrays; the heap engine's Python-list
     conversions are per-process by nature).
     """
-    union = inst.union_dag()
-    union.successor_csr()
-    union.indegree()
-    union.outdegree()
-    union.num_levels()
-    union.topological_order()
     inst.task_levels()
+    union = inst.union_dag()
+    union.outdegree()
     for g in inst.dags:
-        g.num_levels()
         g.indegree()
         g.outdegree()
     names = set(algorithms)

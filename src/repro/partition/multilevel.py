@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from repro import obs
 from repro.partition.coarsen import contract, heavy_edge_matching
 from repro.partition.graph import PartGraph
 from repro.partition.initial import greedy_graph_growing
@@ -134,20 +135,29 @@ def partition_mesh_blocks(
     """
     if block_size <= 0:
         raise PartitionError(f"block_size must be positive, got {block_size}")
-    if n_cells == 0:
-        return np.empty(0, dtype=np.int64)
-    if block_size == 1:
-        return np.arange(n_cells, dtype=np.int64)
     n_blocks = max(1, math.ceil(n_cells / block_size))
-    if n_blocks == 1:
-        return np.zeros(n_cells, dtype=np.int64)
-    if cell_weights is not None:
-        cell_weights = np.asarray(cell_weights)
-        if cell_weights.shape != (n_cells,):
-            raise PartitionError("cell_weights must have one entry per cell")
-        if not np.issubdtype(cell_weights.dtype, np.integer):
-            raise PartitionError("cell_weights must be integers (quantise first)")
-        if n_cells and cell_weights.min() <= 0:
-            raise PartitionError("cell_weights must be positive")
-    g = PartGraph.from_edges(n_cells, cell_edges, node_weights=cell_weights)
-    return partition_graph(g, n_blocks, seed=seed, imbalance=imbalance)
+    with obs.span(
+        "partition.blocks",
+        cat="partition",
+        args_fn=lambda: {
+            "n": n_cells,
+            "block_size": block_size,
+            "levels": (n_blocks - 1).bit_length(),  # bisection depth
+        },
+    ):
+        if n_cells == 0:
+            return np.empty(0, dtype=np.int64)
+        if block_size == 1:
+            return np.arange(n_cells, dtype=np.int64)
+        if n_blocks == 1:
+            return np.zeros(n_cells, dtype=np.int64)
+        if cell_weights is not None:
+            cell_weights = np.asarray(cell_weights)
+            if cell_weights.shape != (n_cells,):
+                raise PartitionError("cell_weights must have one entry per cell")
+            if not np.issubdtype(cell_weights.dtype, np.integer):
+                raise PartitionError("cell_weights must be integers (quantise first)")
+            if n_cells and cell_weights.min() <= 0:
+                raise PartitionError("cell_weights must be positive")
+        g = PartGraph.from_edges(n_cells, cell_edges, node_weights=cell_weights)
+        return partition_graph(g, n_blocks, seed=seed, imbalance=imbalance)

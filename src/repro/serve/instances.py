@@ -8,11 +8,11 @@ This module owns that residency:
   (:func:`repro.cache.instance_key`), the same blake2b digest the
   on-disk build cache uses, so "resident in the daemon" and "cached on
   disk" are one identity.
-* **Hydration** — a publish first consults :func:`repro.cache.load_arrays`;
-  on a hit the wire-format arrays go straight into
-  :meth:`~repro.parallel.shm_store.SharedInstanceStore.publish_arrays`
-  without rehydrating per-direction ``Dag`` objects.  Only a cold miss
-  pays mesh + DAG construction (which then also seeds the disk cache).
+* **Hydration** — a publish takes the instance from the runner's
+  memoised chokepoint, which consults :mod:`repro.cache` first; a disk
+  hit is adopted zero-copy, only a cold miss pays mesh + DAG
+  construction (which then also seeds the disk cache).  Hit or miss,
+  the instance is warmed for the request's algorithms before publish.
 * **Pinned LRU eviction** — residency is byte-accounted against a
   budget; eviction walks least-recently-used entries but **never evicts
   an instance with in-flight requests** (``pins > 0``).  A request pins
@@ -383,21 +383,13 @@ class InstanceRegistry:
 def _load_or_build_arrays(
     spec: InstanceSpec, algorithms: tuple, engine: str
 ) -> tuple:
-    """The instance wire payload: disk-cache hit or full build.
+    """The instance wire payload, warmed for ``algorithms``.
 
-    On a hit the arrays are published as-is (no Dag rehydration).  On a
-    miss the build goes through the memoised runner chokepoint — which
-    also seeds the disk cache when enabled — and the live instance is
-    warmed for ``algorithms`` so attached workers inherit the expensive
-    memo caches.
+    The instance comes from the memoised runner chokepoint — a disk-cache
+    hit when ``REPRO_CACHE_DIR`` holds it, else a build that also seeds
+    the disk cache — and is warmed before export, so attached workers
+    inherit the same memo caches on a hit as on a miss.
     """
-    from repro import cache as build_cache
-
-    key = spec.content_key()
-    if build_cache.cache_dir() is not None:
-        cached = build_cache.load_arrays(key)
-        if cached is not None:
-            return cached
     from repro.experiments import runner
     from repro.parallel.worker import warm_instance
 

@@ -8,12 +8,7 @@ from repro.sweeps.directions import (
     directions_for_mesh,
     num_level_symmetric_directions,
 )
-from repro.sweeps.dag_builder import (
-    sweep_edges,
-    sweep_dag,
-    build_instance,
-    build_instance_batched,
-)
+from repro.sweeps.dag_builder import sweep_edges, build_instance
 from repro.sweeps.cycle_breaking import break_cycles, find_sccs
 from repro.sweeps.batching import direction_batches, batched_schedule
 
@@ -25,9 +20,7 @@ __all__ = [
     "directions_for_mesh",
     "num_level_symmetric_directions",
     "sweep_edges",
-    "sweep_dag",
     "build_instance",
-    "build_instance_batched",
     "break_cycles",
     "find_sccs",
     "direction_batches",

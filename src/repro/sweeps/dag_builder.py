@@ -18,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.dag import Dag, batch_csr_from_edges, batch_levels
+from repro.core.dag import Dag, batch_csr_from_edges
 from repro.core.instance import SweepInstance
 from repro.mesh.mesh import Mesh
 from repro.sweeps.cycle_breaking import break_cycles
 from repro.util.errors import InvalidInstanceError, MeshError
 
-__all__ = ["sweep_edges", "sweep_dag", "build_instance", "build_instance_batched"]
+__all__ = ["sweep_edges", "build_instance", "build_instance_batched"]
 
 #: Faces with |normal . direction| below this carry no flux constraint.
 DEFAULT_TOL = 1e-12
@@ -55,52 +55,15 @@ def sweep_edges(mesh: Mesh, direction: np.ndarray, tol: float = DEFAULT_TOL) -> 
     return np.ascontiguousarray(edges)
 
 
-def sweep_dag(
-    mesh: Mesh,
-    direction: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    allow_cycle_breaking: bool = True,
-) -> Dag:
-    """The sweep DAG of one direction, breaking cycles if necessary."""
-    edges = sweep_edges(mesh, direction, tol=tol)
-    if allow_cycle_breaking:
-        projection = mesh.centroids @ np.asarray(direction, dtype=np.float64)
-        edges, _removed = break_cycles(mesh.n_cells, edges, order_key=projection)
-    return Dag(mesh.n_cells, edges)
-
-
 def build_instance(
     mesh: Mesh,
     directions: np.ndarray,
     tol: float = DEFAULT_TOL,
     name: str | None = None,
 ) -> SweepInstance:
-    """Assemble the full sweep-scheduling instance for a direction set."""
-    directions = np.asarray(directions, dtype=np.float64)
-    if directions.ndim != 2 or directions.shape[1] != mesh.dim:
-        raise MeshError(
-            f"directions must be (k, {mesh.dim}); got {directions.shape}"
-        )
-    dags = [sweep_dag(mesh, w, tol=tol) for w in directions]
-    return SweepInstance(
-        mesh.n_cells,
-        dags,
-        cell_graph_edges=mesh.adjacency,
-        name=name or f"{mesh.name}_k{directions.shape[0]}",
-    )
+    """Assemble the full sweep-scheduling instance for a direction set.
 
-
-def build_instance_batched(
-    mesh: Mesh,
-    directions: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    name: str | None = None,
-) -> SweepInstance:
-    """Batched multi-direction instance construction (one pass, k DAGs).
-
-    Bit-identical to :func:`build_instance` (the per-direction reference
-    path, locked by ``tests/test_batched_builder.py``) but built in four
-    batched phases instead of ``k`` independent ``sweep_dag`` calls:
+    Builds all ``k`` direction DAGs in four batched phases:
 
     1. **edges** — one ``face_normals @ directions.T`` product gives all
        ``n_faces x k`` upwind signs; every per-direction edge array is
@@ -109,25 +72,25 @@ def build_instance_batched(
        :func:`sweep_edges`.
     2. **csr** — one stable argsort builds every DAG's successor CSR
        (:func:`repro.core.dag.batch_csr_from_edges`).
-    3. **levels** — one union frontier sweep computes every direction's
-       level structure (:func:`repro.core.dag.batch_levels`) and the flat
-       ``task_levels`` array, so downstream priority setup is a cache
-       hit.
-    4. **cycle check** — the acyclicity fast path: the Kahn frontier
-       sweep of phase 3 *is* the certificate — a direction whose sweep
-       consumed every task is acyclic, and on an acyclic digraph
-       :func:`break_cycles` provably returns its input unchanged (no
-       nontrivial SCC → early return), so the Tarjan SCC pass is skipped
-       (``build.tarjan_skipped`` counts these; every Delaunay direction
-       takes it).  A stalled sweep (negative levels) means a genuine
-       cycle: those directions — and only those — fall back to
-       :func:`break_cycles` with the seed path's centroid-projection
-       order key, then CSR and levels are rebuilt.  (Ranking cells by
-       the projection ``centroid . w`` and testing "every edge forward"
-       is *not* a usable certificate: on Delaunay meshes ~25% of upwind
+    3. **levels** — the union DAG's frontier sweep
+       (:meth:`SweepInstance.task_levels`) levels every direction at
+       once, so downstream priority setup is a cache hit.
+    4. **cycle check** — the Kahn frontier sweep of phase 3 *is* the
+       acyclicity certificate: a direction whose slice of the union
+       levels has no negative entry is acyclic, and on an acyclic
+       digraph :func:`break_cycles` provably returns its input
+       unchanged, so the Tarjan SCC pass is skipped
+       (``build.tarjan_skipped`` counts these).  Every Delaunay
+       direction takes this path (Edelsbrunner's acyclicity theorem),
+       as does every generated mesh.  A slice with a negative level
+       means a genuine cycle — possible on meshes read by
+       :func:`repro.mesh.io.load_mesh` — and those directions, and only
+       those, fall back to :func:`break_cycles` with the
+       centroid-projection order key, then phases 2–3 rerun.  (Ranking
+       cells by ``centroid . w`` and testing "every edge forward" is
+       *not* a usable certificate: on Delaunay meshes ~25% of upwind
        edges run backward in projection order while the digraph is still
-       acyclic, so that predicate would send every direction through
-       Tarjan.)
+       acyclic.)
 
     Raises :class:`~repro.util.errors.InvalidInstanceError` if any
     direction is still cyclic after phase 4 — impossible unless the
@@ -156,15 +119,13 @@ def build_instance_batched(
         starts = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
         edges_all = np.empty((int(starts[k]), 2), dtype=np.int64)
-        per_dag_edges = []
         for i in range(k):
             block = edges_all[starts[i] : starts[i + 1]]
             nf = int(n_fwd[i])
             block[:nf] = mesh.adjacency[fwd[:, i]]
             block[nf:] = mesh.adjacency[bwd[:, i]][:, ::-1]
-            per_dag_edges.append(block)
 
-    def _assemble(flat, counts):
+    def _assemble(flat, counts) -> SweepInstance:
         bounds = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=bounds[1:])
         with obs.span(
@@ -178,44 +139,43 @@ def build_instance_batched(
             g = Dag(n, flat[bounds[i] : bounds[i + 1]], validate=False)
             g._succ_off, g._succ_tgt = csrs[i]
             dags.append(g)
+        inst = SweepInstance(
+            n,
+            dags,
+            cell_graph_edges=mesh.adjacency,
+            name=name or f"{mesh.name}_k{k}",
+        )
         with obs.span("build.levels", cat="build"):
-            task_level = batch_levels(dags)
-        return dags, task_level
+            inst.task_levels()
+        return inst
 
-    dags, task_level = _assemble(edges_all, counts)
+    inst = _assemble(edges_all, counts)
     with obs.span("build.cycle_check", cat="build"):
-        cyclic = [i for i, g in enumerate(dags) if g._num_levels == -1]
+        stalled = (inst.task_levels().reshape(k, n) < 0).any(axis=1)
+        cyclic = np.flatnonzero(stalled).tolist()
         if _MUTATION == "skip_cycle_check":
             cyclic = []
         obs.inc("build.tarjan_skipped", k - len(cyclic))
         if cyclic:
             proj = mesh.centroids @ directions[cyclic].T
-            repaired = [g.edges for g in dags]
+            repaired = [g.edges for g in inst.dags]
             for col, i in enumerate(cyclic):
                 repaired[i], _removed = break_cycles(
                     n, repaired[i], order_key=proj[:, col]
                 )
-            counts = np.array(
-                [e.shape[0] for e in repaired], dtype=np.int64
-            )
-            edges_all = (
-                np.concatenate(repaired, axis=0)
-                if int(counts.sum())
-                else np.empty((0, 2), dtype=np.int64)
-            )
+            counts = np.array([e.shape[0] for e in repaired], dtype=np.int64)
+            edges_all = np.concatenate(repaired, axis=0)
     if cyclic:
-        dags, task_level = _assemble(edges_all, counts)
-    if task_level.min(initial=0) < 0:
-        bad = next(i for i, g in enumerate(dags) if g._num_levels == -1)
+        inst = _assemble(edges_all, counts)
+    if inst.task_levels().min(initial=0) < 0:
+        bad = next(i for i, g in enumerate(inst.dags) if g.num_levels() == -1)
         raise InvalidInstanceError(
             f"direction {bad}: graph contains a cycle after the "
             "acyclicity fast path — the cycle-check certificate is broken"
         )
-    inst = SweepInstance(
-        mesh.n_cells,
-        dags,
-        cell_graph_edges=mesh.adjacency,
-        name=name or f"{mesh.name}_k{k}",
-    )
-    inst._task_level = task_level
     return inst
+
+
+#: The batched builder's former name, still imported by the benchmark
+#: harness under ``perfbench/``.
+build_instance_batched = build_instance

@@ -27,7 +27,7 @@ from repro import cache as build_cache
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments import runner
 from repro.mesh.generators import make_mesh, mesh_dim
-from repro.sweeps import build_instance_batched, directions_for_mesh
+from repro.sweeps import build_instance, directions_for_mesh
 from repro.sweeps.dag_builder import DEFAULT_TOL
 from repro.util.errors import CacheError
 
@@ -48,7 +48,7 @@ def cache_root(tmp_path, monkeypatch):
 def _tet_instance(cells=120, k=4):
     mesh = make_mesh("tetonly", target_cells=cells, seed=0)
     dirs = directions_for_mesh(3, k)
-    inst = build_instance_batched(mesh, dirs)
+    inst = build_instance(mesh, dirs)
     key = build_cache.instance_key("tetonly", cells, 0, k, DEFAULT_TOL, dirs)
     return key, inst
 
@@ -110,7 +110,8 @@ class TestRoundTrip:
         build_cache.store_instance(key, inst)
         loaded = build_cache.load_instance(key)
         # from_arrays adopts the memo: levels come back without rebuild.
-        assert loaded._task_level is not None
+        assert loaded._union_dag is not None
+        assert loaded._union_dag._level_of is not None
         assert np.array_equal(loaded.task_levels(), inst.task_levels())
 
     def test_miss_counts_and_returns_none(self, cache_root):
@@ -310,6 +311,34 @@ class TestPublishFromCache:
         finally:
             detach_all()
             store.close()
+
+
+class TestServePublishHitEqualsMiss:
+    def test_hit_payload_equals_miss_payload(self, cache_root):
+        """The daemon's publish payload does not depend on whether the
+        instance came from the disk cache: a hit is warmed for the
+        request's algorithms exactly like a miss, so it ships the same
+        union b-levels and descendant counts, byte for byte."""
+        from repro.serve.instances import InstanceSpec, _load_or_build_arrays
+
+        spec = InstanceSpec(mesh="tetonly", target_cells=300, mesh_seed=0, k=8)
+        algorithms = ("dfds", "descendant")
+        runner.clear_caches()
+        try:
+            miss_meta, miss = _load_or_build_arrays(spec, algorithms, "auto")
+            assert build_cache.COUNTERS["store"] == 1
+            miss = {name: np.array(arr) for name, arr in miss.items()}
+            runner.clear_caches()
+            hit_meta, hit = _load_or_build_arrays(spec, algorithms, "auto")
+            assert build_cache.COUNTERS["hit"] == 1
+        finally:
+            runner.clear_caches()
+        assert "union/b_level" in miss and "dag0/desc_exact" in miss
+        assert sorted(hit) == sorted(miss)
+        for name, arr in miss.items():
+            assert hit[name].dtype == arr.dtype, name
+            assert np.asarray(hit[name]).tobytes() == arr.tobytes(), name
+        assert hit_meta == miss_meta
 
 
 class TestRunnerIntegration:

@@ -12,7 +12,6 @@ from repro.sweeps import (
     build_instance,
     circle_directions,
     directions_for_mesh,
-    sweep_dag,
     sweep_edges,
 )
 from repro.sweeps.dag_builder import DEFAULT_TOL
@@ -40,7 +39,7 @@ class TestStructuredGridSweeps:
     def test_diagonal_direction_orders_both_axes(self):
         mesh = Mesh.structured_grid((2, 2))
         w = np.array([1.0, 1.0]) / np.sqrt(2)
-        g = sweep_dag(mesh, w)
+        g = build_instance(mesh, w[None]).dags[0]
         # Cell (0,0)=id0 must precede (1,1)=id3 via both (0,1) and (1,0).
         lev = g.level_of()
         assert lev[0] == 0 and lev[3] == 2
@@ -48,7 +47,7 @@ class TestStructuredGridSweeps:
     def test_grid_sweep_level_count(self):
         mesh = Mesh.structured_grid((4, 4))
         w = np.array([1.0, 1.0]) / np.sqrt(2)
-        g = sweep_dag(mesh, w)
+        g = build_instance(mesh, w[None]).dags[0]
         # Diagonal wavefronts: 4 + 4 - 1 levels.
         assert g.num_levels() == 7
 
@@ -61,7 +60,7 @@ class TestStructuredGridSweeps:
 class TestDelaunaySweeps:
     def test_all_directions_acyclic(self, tri_mesh):
         for w in circle_directions(8):
-            g = sweep_dag(tri_mesh, w, allow_cycle_breaking=False)
+            g = Dag(tri_mesh.n_cells, sweep_edges(tri_mesh, w))
             assert isinstance(g, Dag)  # constructor validates acyclicity
 
     def test_opposite_directions_reverse_edges(self, tri_mesh):

@@ -265,11 +265,11 @@ class TestAutoRule:
         from repro.core.list_scheduler import resolve_engine
         from repro.mesh import make_mesh
         from repro.partition import partition_mesh_blocks
-        from repro.sweeps.dag_builder import build_instance_batched
+        from repro.sweeps.dag_builder import build_instance
         from repro.sweeps.directions import directions_for_mesh
 
         mesh = make_mesh("tetonly", target_cells=4000, seed=0)
-        inst = build_instance_batched(mesh, directions_for_mesh(3, 8))
+        inst = build_instance(mesh, directions_for_mesh(3, 8))
         blocks = partition_mesh_blocks(mesh.n_cells, mesh.adjacency, 64, seed=0)
         blocked = block_assignment(blocks, 128, seed=0)
         assert np.unique(blocked).size < 64

@@ -258,3 +258,57 @@ def test_cell_graph_golden(family):
     assert e.dtype == np.int64
     assert e.shape == (rows, 2)
     assert zlib.crc32(e.tobytes()) == crc
+
+
+class TestOneLevelPass:
+    """The union DAG's frontier sweep is the only level computation.
+
+    Counts :meth:`Dag._compute_levels` calls and the indegree
+    decrements of every frontier loop: one sweep over a union DAG of
+    depth ``D`` decrements at most ``D - 1`` times, so a second pass
+    anywhere (a per-direction loop, or the union re-levelled after the
+    directions were) pushes the count to ``D`` or more.
+    """
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.core.dag as dag_mod
+
+        counts = {"levels": [], "decrements": 0}
+        compute = Dag._compute_levels
+        decrement = dag_mod._decrement_indegrees
+
+        def counting_compute(self):
+            counts["levels"].append(self.n)
+            return compute(self)
+
+        def counting_decrement(indeg, succ):
+            counts["decrements"] += 1
+            return decrement(indeg, succ)
+
+        monkeypatch.setattr(Dag, "_compute_levels", counting_compute)
+        monkeypatch.setattr(dag_mod, "_decrement_indegrees", counting_decrement)
+        return counts
+
+    @staticmethod
+    def _families_instance():
+        return make_instance("identical_chains", n=64, k=4, seed=0)
+
+    @staticmethod
+    def _mesh_instance():
+        from repro.mesh.generators import make_mesh
+        from repro.sweeps import build_instance, directions_for_mesh
+
+        mesh = make_mesh("tetonly", target_cells=200, seed=0)
+        return build_instance(mesh, directions_for_mesh(3, 8))
+
+    @pytest.mark.parametrize("build", ["_families_instance", "_mesh_instance"])
+    def test_frontier_loop_runs_once(self, counted, build):
+        from repro.heuristics.registry import get_algorithm
+
+        inst = getattr(self, build)()
+        inst.warm_levels()
+        for name in ("level", "descendant", "dfds", "random_delay_priority"):
+            get_algorithm(name)(inst, 8, seed=0, engine="auto").validate()
+        assert counted["levels"] == [inst.n_tasks]
+        assert counted["decrements"] < inst.depth()

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dag import Dag
 from repro.mesh import Mesh
-from repro.sweeps import sweep_dag, sweep_edges
+from repro.sweeps import build_instance, sweep_edges
 
 
 @st.composite
@@ -77,7 +78,7 @@ class TestRandomSweepInvariants:
         verifies acyclicity, so construction succeeding is the test."""
         mesh = Mesh.from_delaunay(pts)
         w = np.array([np.cos(theta), np.sin(theta)])
-        sweep_dag(mesh, w, allow_cycle_breaking=False)
+        Dag(mesh.n_cells, sweep_edges(mesh, w))
 
     @given(point_clouds_2d(), angles)
     @settings(max_examples=25, deadline=None)
@@ -93,7 +94,7 @@ class TestRandomSweepInvariants:
     def test_every_cell_reachable_in_levels(self, pts, theta):
         mesh = Mesh.from_delaunay(pts)
         w = np.array([np.cos(theta), np.sin(theta)])
-        g = sweep_dag(mesh, w)
+        g = build_instance(mesh, w[None]).dags[0]
         assert g.level_of().min() >= 0  # every cell placed in a level
 
     @given(point_clouds_2d(), angles)
@@ -104,7 +105,7 @@ class TestRandomSweepInvariants:
         first vs last level."""
         mesh = Mesh.from_delaunay(pts)
         w = np.array([np.cos(theta), np.sin(theta)])
-        g = sweep_dag(mesh, w)
+        g = build_instance(mesh, w[None]).dags[0]
         if g.num_levels() < 2 or g.num_edges == 0:
             return
         proj = mesh.centroids @ w

@@ -107,12 +107,13 @@ class TestMultiprocessTrace:
 
         warm = shape(first)
         assert warm == shape(second)
-        # The cold run differs only by the one-off instance build and
-        # pool spawn, each traced exactly once.
+        # The cold run differs only by the one-off mesh generation,
+        # instance build and pool spawn, each traced exactly once.
         extra = {
             key: n for key, n in shape(cold).items() if key not in warm
         }
         assert extra == {
+            ("mesh.generate", "mesh", 1): 1,
             ("build.edges", "build", 1): 1,
             ("build.csr", "build", 1): 1,
             ("build.levels", "build", 1): 1,
