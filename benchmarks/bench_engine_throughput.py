@@ -17,7 +17,7 @@ from repro.core.list_scheduler import list_schedule_unassigned
 from repro.experiments import format_table
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import get_instance
-from repro.util.timing import Timer
+from repro.util.timing import now
 
 SIZES = (1000, 2000, 4000)
 M = 32
@@ -38,9 +38,9 @@ def _measure():
             # other benches) otherwise dominates single measurements.
             best = float("inf")
             for _ in range(3):
-                with Timer() as t:
-                    fn()
-                best = min(best, t.elapsed)
+                t0 = now()
+                fn()
+                best = min(best, now() - t0)
             row[label + "_tasks_per_s"] = int(inst.n_tasks / best)
         rows.append(row)
     return rows

@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
     from repro.experiments import paper
-    from repro.util.timing import Timer
+    from repro.util.timing import now
 
     figures = [
         ("Fig 2(a)", lambda: paper.fig2a(target_cells=args.cells)),
@@ -38,10 +38,10 @@ def main(argv=None) -> int:
         ("Headline", lambda: paper.headline_bounds(target_cells=args.cells)),
     ]
     for name, fn in figures:
-        with Timer() as t:
-            _rows, text = fn()
+        t0 = now()
+        _rows, text = fn()
         print(text)
-        print(f"[{name}: {t.elapsed:.1f}s]\n")
+        print(f"[{name}: {now() - t0:.1f}s]\n")
 
     # Extension tables, via the bench modules' sweep functions.
     from benchmarks import (
@@ -85,10 +85,10 @@ def main(argv=None) -> int:
          ["cost_sigma", "ratio_mean", "ratio_max"]),
     ]
     for name, fn, cols in extensions:
-        with Timer() as t:
-            rows = fn()
+        t0 = now()
+        rows = fn()
         print(format_table(rows, cols, title=name))
-        print(f"[{name}: {t.elapsed:.1f}s]\n")
+        print(f"[{name}: {now() - t0:.1f}s]\n")
     return 0
 
 

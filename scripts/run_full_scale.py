@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     from repro.experiments.presets import PAPER_SCALE
     from repro.experiments.report import format_series
     from repro.experiments.runner import run_grid
-    from repro.util.timing import Timer
+    from repro.util.timing import now
 
     names = sorted(PAPER_SCALE) if which == "all" else [which]
     for name in names:
@@ -35,15 +35,14 @@ def main(argv=None) -> int:
             f"== {name}: {config.mesh} ~{config.target_cells} cells, "
             f"k={config.k}, m={config.m_values}, blocks={config.block_sizes}"
         )
-        with Timer() as t:
-            rows = run_grid(
-                config, with_comm=(name in ("fig2a",)), workers=workers
-            )
+        t0 = now()
+        rows = run_grid(config, with_comm=(name in ("fig2a",)), workers=workers)
+        elapsed = now() - t0
         for row in rows:
             row["series"] = f"{row['algorithm']},block={row['block_size']}"
         print(format_series(rows, x="m", y="ratio", group_by="series",
                             title=f"{name} — ratio to nk/m"))
-        print(f"[{t.elapsed:.0f}s]\n")
+        print(f"[{elapsed:.0f}s]\n")
     return 0
 
 

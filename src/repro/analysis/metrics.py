@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.comm.cost import c2_cost, interprocessor_edges
 from repro.core.lower_bounds import average_load_lb, combined_lower_bound
 from repro.core.schedule import Schedule
@@ -83,8 +84,10 @@ def summarize_schedule(schedule: Schedule, with_comm: bool = True) -> ScheduleSu
     lb = average_load_lb(inst, schedule.m)
     total_edges = sum(g.num_edges for g in inst.dags)
     if with_comm:
-        c1 = interprocessor_edges(inst, schedule.assignment)
-        c2 = c2_cost(schedule)
+        with obs.span("comm.c1", cat="comm"):
+            c1 = interprocessor_edges(inst, schedule.assignment)
+        with obs.span("comm.c2", cat="comm"):
+            c2 = c2_cost(schedule)
     else:
         c1 = c2 = 0
     return ScheduleSummary(

@@ -192,7 +192,6 @@ def run_campaign(
 def _run_group(group, spec, store, workers, stats, client=None) -> None:
     from repro import obs
     from repro.experiments.runner import run_cell
-    from repro.util.timing import Timer
 
     config = group_config([cell for _, cell in group], spec, workers=workers)
 
@@ -245,7 +244,7 @@ def _run_group(group, spec, store, workers, stats, client=None) -> None:
         run_dispatch(config, spec.with_comm, workers, sink, cells=grid_cells)
     else:
         for digest, cell in group:
-            with Timer() as timer:
+            with obs.timed("campaign.serial_cell", cat="campaign") as timer:
                 summary = run_cell(
                     config,
                     cell.algorithm,

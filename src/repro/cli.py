@@ -424,8 +424,19 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _write_trace(path: str) -> None:
-    """Drain the obs buffers and write a Chrome trace to ``path``."""
+def _start_trace(path: str | None) -> None:
+    """Record from empty buffers when ``--trace`` was given."""
+    if path:
+        from repro import obs
+
+        obs.enable_tracing()
+        obs.reset()
+
+
+def _write_trace(path: str | None) -> None:
+    """Drain the obs buffers into a Chrome trace at ``path``, if given."""
+    if not path:
+        return
     from repro import obs
 
     spans = obs.merge_spans([obs.drain_spans()])
@@ -436,11 +447,7 @@ def _write_trace(path: str) -> None:
 
 
 def _cmd_figures(args) -> int:
-    if args.trace:
-        from repro import obs
-
-        obs.enable_tracing()
-        obs.reset()
+    _start_trace(args.trace)
     names = sorted(_FIGURES) if args.which == "all" else [args.which]
     for name in names:
         rows, text = _FIGURES[name](target_cells=args.cells, workers=args.workers)
@@ -453,8 +460,7 @@ def _cmd_figures(args) -> int:
             print(ascii_chart(rows, x="m", y=y, group_by="series",
                               title=f"{name} — {y} vs m (shape view)"))
         print()
-    if args.trace:
-        _write_trace(args.trace)
+    _write_trace(args.trace)
     return 0
 
 
@@ -619,11 +625,7 @@ def _cmd_bench(args) -> int:
         write_bench,
     )
 
-    if args.trace:
-        from repro import obs
-
-        obs.enable_tracing()
-        obs.reset()
+    _start_trace(args.trace)
     families = args.families.split(",") if args.families else None
     try:
         report = run_bench(
@@ -697,8 +699,7 @@ def _cmd_bench(args) -> int:
     else:
         write_bench(report, out)
         print(f"wrote {out}")
-    if args.trace:
-        _write_trace(args.trace)
+    _write_trace(args.trace)
     return 1 if problems else 0
 
 
@@ -769,11 +770,7 @@ def _cmd_campaign(args) -> int:
         Path(args.spec).with_suffix(".campaign.sqlite")
     )
     if args.action == "run":
-        if args.trace:
-            from repro import obs
-
-            obs.enable_tracing()
-            obs.reset()
+        _start_trace(args.trace)
         stats = run_campaign(
             spec, store_path, workers=args.workers, limit=args.limit,
             serve=args.serve,
@@ -790,8 +787,7 @@ def _cmd_campaign(args) -> int:
             f"({stats.groups} instance groups, workers={stats.workers})"
         )
         print(f"store: {store_path}")
-        if args.trace:
-            _write_trace(args.trace)
+        _write_trace(args.trace)
         return 0
     with ResultStore.open(store_path, spec) as store:
         if args.action == "status":

@@ -52,16 +52,18 @@ def draw_randomness(
     Both draws come from one ``Generator``, in that order.  Pinned delays
     must have shape ``(k,)``.
     """
-    rng = as_rng(seed)
-    if delays is None:
-        delays = draw_delays(inst.k, rng)
-    elif np.shape(delays) != (inst.k,):
-        raise InvalidScheduleError(
-            f"delays has shape {np.shape(delays)}, expected ({inst.k},)"
-        )
-    if assignment is None:
-        assignment = random_cell_assignment(inst.n_cells, m, rng)
-    return delays, assignment
+    with obs.span("core.randomness", cat="core",
+                  args_fn=lambda: {"k": inst.k, "m": m}):
+        rng = as_rng(seed)
+        if delays is None:
+            delays = draw_delays(inst.k, rng)
+        elif np.shape(delays) != (inst.k,):
+            raise InvalidScheduleError(
+                f"delays has shape {np.shape(delays)}, expected ({inst.k},)"
+            )
+        if assignment is None:
+            assignment = random_cell_assignment(inst.n_cells, m, rng)
+        return delays, assignment
 
 
 def delayed_task_layers(inst: SweepInstance, delays: np.ndarray) -> np.ndarray:

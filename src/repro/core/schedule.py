@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.core.instance import SweepInstance
 from repro.util.errors import InvalidScheduleError
 
@@ -75,7 +76,9 @@ class Schedule:
 
     def validate(self) -> None:
         """Raise :class:`InvalidScheduleError` on any constraint violation."""
-        validate_schedule(self)
+        with obs.span("core.validate", cat="core",
+                      args_fn=lambda: {"n_tasks": self.instance.n_tasks}):
+            validate_schedule(self)
 
     def __repr__(self) -> str:
         return (

@@ -65,10 +65,10 @@ import zlib
 
 import numpy as np
 
-from repro.core.list_scheduler import list_schedule
+from repro import obs
+from repro.core.list_scheduler import list_schedule, resolve_engine
 from repro.core.random_delay import delayed_task_layers, draw_randomness
 from repro.experiments.gates import Gate, evaluate, format_value
-from repro.util.timing import Timer
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -154,53 +154,19 @@ def _bench_cells(smoke: bool, cells: int | None) -> int:
 def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
     """Build (or cache-load) one mesh-family instance with phase timings.
 
-    Returns ``(instance, phases)`` where ``phases`` splits acquisition
-    into ``mesh_s`` (memoised mesh generation), ``build_s`` (batched DAG
-    construction), and ``cache_s`` (build-cache load/store; 0.0 when
-    ``REPRO_CACHE_DIR`` is unset).  A cache hit skips the build entirely
-    (``build_s == 0``); either way the instance arrives with its level
-    structure pre-materialised.
+    ``phases`` is :func:`repro.experiments.runner.load_or_build_instance`'s
+    ``mesh_s``/``build_s``/``cache_s`` split; a cache hit skips the build
+    (``build_s == 0``).  Either way the levels arrive pre-materialised.
     """
-    from repro import cache as build_cache
-    from repro.experiments.runner import _mesh_cache
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
-    from repro.sweeps.directions import directions_for_mesh
+    from repro.experiments.runner import load_or_build_instance
 
-    cache_s = 0.0
-    key = None
-    if build_cache.cache_dir() is not None:
-        dirs = directions_for_mesh(3, k)
-        key = build_cache.instance_key(
-            "tetonly", cells, 0, k, DEFAULT_TOL, dirs
-        )
-        with Timer() as t_load:
-            inst = build_cache.load_instance(key)
-        cache_s += t_load.elapsed
-        if inst is not None:
-            return inst, {
-                "mesh_s": 0.0,
-                "build_s": 0.0,
-                "cache_s": cache_s,
-            }
-    with Timer() as t_mesh:
-        mesh = _mesh_cache("tetonly", cells, 0)
-    dirs = directions_for_mesh(mesh.dim, k)
-    with Timer() as t_build:
-        inst = build_instance(mesh, dirs)
-    if key is not None:
-        with Timer() as t_store:
-            build_cache.store_instance(key, inst)
-        cache_s += t_store.elapsed
-    return inst, {
-        "mesh_s": t_mesh.elapsed,
-        "build_s": t_build.elapsed,
-        "cache_s": cache_s,
-    }
+    phases: dict = {}
+    return load_or_build_instance("tetonly", cells, 0, k, phases), phases
 
 
 def _family_instance_timed(builder) -> tuple[object, dict]:
     """Build one synthetic-family instance; levels warmed inside ``build_s``."""
-    with Timer() as t_build:
+    with obs.timed("instance.build", cat="build") as t_build:
         inst = builder()
         inst.warm_levels()
     return inst, {"mesh_s": 0.0, "build_s": t_build.elapsed, "cache_s": 0.0}
@@ -274,7 +240,10 @@ def _time_engine(inst, m, assignment, priority, engine, repeats):
     )
     best = float("inf")
     for _ in range(repeats):
-        with Timer() as t:
+        with obs.timed(
+            "bench.engine_repeat", cat="bench",
+            args_fn=lambda: {"engine": engine},
+        ) as t:
             schedule = list_schedule(
                 inst, m, assignment, priority=priority, engine=engine
             )
@@ -310,11 +279,11 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
                 "tetonly", cells, 0, k, DEFAULT_TOL, dirs
             )
             before_hits = build_cache.COUNTERS["hit"]
-            with Timer() as t_cold:
+            with obs.timed("bench.construction_cold", cat="bench") as t_cold:
                 mesh = make_mesh("tetonly", target_cells=cells, seed=0)
                 inst = build_instance(mesh, dirs)
                 build_cache.store_instance(key, inst)
-            with Timer() as t_warm:
+            with obs.timed("bench.construction_warm", cat="bench") as t_warm:
                 warm = build_cache.load_instance(key)
             hits = build_cache.COUNTERS["hit"] - before_hits
             cold_meta, cold_arrays = inst.export_arrays()
@@ -432,7 +401,7 @@ def serve_bench(
         f"mesh_seed={instance['mesh_seed']}, name='serve_cold')\n"
         f"print(run_cell(config, {algorithm!r}, {m}, 1, 0).makespan)\n"
     )
-    with Timer() as t_cold:
+    with obs.timed("bench.serve_cold", cat="bench") as t_cold:
         cold_proc = subprocess.run(
             [sys.executable, "-c", cold_script],
             env=env, capture_output=True, text=True,
@@ -463,7 +432,7 @@ def serve_bench(
                     latencies = []
                     sequential = []
                     for seed in seeds:
-                        with Timer() as t_req:
+                        with obs.timed("bench.serve_request", cat="bench") as t_req:
                             summary = client.schedule(
                                 instance, algorithm, m, 1, seed
                             )
@@ -479,7 +448,7 @@ def serve_bench(
                         }
                         for seed in seeds
                     ]
-                    with Timer() as t_batch:
+                    with obs.timed("bench.serve_batch", cat="bench") as t_batch:
                         batched = [
                             s.as_dict()
                             for s in client.schedule_many(requests)
@@ -538,6 +507,60 @@ def serve_bench(
     }
 
 
+def _bench_case(case: dict, seed: int, repeats: int) -> dict:
+    """Build, set up, warm and time one case; returns its report entry.
+
+    Each ``phases`` value is one ``obs.timed`` interval's ``.elapsed``.
+    """
+    inst, build_phases = case["build"]()
+    m = case["m"]
+    with obs.timed("bench.setup", cat="bench") as t_setup:
+        delays, assignment = draw_randomness(inst, m, seed)
+        priority = delayed_task_layers(inst, delays)
+    # Warm only the structural caches shared by every engine (CSR,
+    # in-degrees, level structure); engine-private caches are built
+    # by each engine's untimed warm-up run in ``_time_engine``.
+    with obs.timed("bench.warm", cat="bench") as t_warm:
+        union = inst.union_dag()
+        union.successor_csr()
+        union.indegree()
+        union.num_levels()
+
+    engines = {}
+    schedules = {}
+    for engine in BENCH_ENGINES:
+        wall, sched = _time_engine(inst, m, assignment, priority, engine, repeats)
+        engines[engine] = {
+            "wall_time_s": wall,
+            "tasks_per_sec": inst.n_tasks / wall if wall > 0 else 0.0,
+        }
+        schedules[engine] = sched
+    for engine in BENCH_ENGINES[1:]:
+        if not np.array_equal(schedules["heap"].start, schedules[engine].start):
+            raise AssertionError(
+                f"heap and {engine} engines disagree on bench family "
+                f"{case['family']!r} — benchmark aborted"
+            )
+    start = np.ascontiguousarray(schedules["heap"].start, dtype=np.int64)
+    return {
+        "family": case["family"],
+        "n_tasks": int(inst.n_tasks),
+        "m": int(m),
+        "k": int(case["k"]),
+        "makespan": int(schedules["heap"].makespan),
+        "checksum": int(zlib.crc32(start.tobytes())),
+        "engines": engines,
+        "auto_engine": resolve_engine("auto", priority, inst, m, assignment),
+        "speedup": engines["heap"]["wall_time_s"]
+        / max(engines["vector"]["wall_time_s"], 1e-12),
+        "phases": {
+            **build_phases,
+            "setup_s": t_setup.elapsed,
+            "warm_s": t_warm.elapsed,
+        },
+    }
+
+
 def run_bench(
     smoke: bool = False,
     cells: int | None = None,
@@ -575,63 +598,11 @@ def run_bench(
     partial = families is not None
     cases_out = []
     for case in bench_cases(smoke=smoke, cells=cells, families=families):
-        inst, build_phases = case["build"]()
-        m = case["m"]
-        with Timer() as t_setup:
-            delays, assignment = draw_randomness(inst, m, seed)
-            priority = delayed_task_layers(inst, delays)
-        # Warm only the structural caches shared by every engine (CSR,
-        # in-degrees, level structure); engine-private caches are built
-        # by each engine's untimed warm-up run in ``_time_engine``.
-        with Timer() as t_warm:
-            union = inst.union_dag()
-            union.successor_csr()
-            union.indegree()
-            union.num_levels()
-
-        engines = {}
-        schedules = {}
-        for engine in BENCH_ENGINES:
-            wall, sched = _time_engine(
-                inst, m, assignment, priority, engine, repeats
-            )
-            engines[engine] = {
-                "wall_time_s": wall,
-                "tasks_per_sec": inst.n_tasks / wall if wall > 0 else 0.0,
-            }
-            schedules[engine] = sched
-        for engine in BENCH_ENGINES[1:]:
-            if not np.array_equal(
-                schedules["heap"].start, schedules[engine].start
-            ):
-                raise AssertionError(
-                    f"heap and {engine} engines disagree on bench family "
-                    f"{case['family']!r} — benchmark aborted"
-                )
-        from repro.core.list_scheduler import resolve_engine
-
-        start = np.ascontiguousarray(schedules["heap"].start, dtype=np.int64)
-        cases_out.append(
-            {
-                "family": case["family"],
-                "n_tasks": int(inst.n_tasks),
-                "m": int(m),
-                "k": int(case["k"]),
-                "makespan": int(schedules["heap"].makespan),
-                "checksum": int(zlib.crc32(start.tobytes())),
-                "engines": engines,
-                "auto_engine": resolve_engine(
-                    "auto", priority, inst, m, assignment
-                ),
-                "speedup": engines["heap"]["wall_time_s"]
-                / max(engines["vector"]["wall_time_s"], 1e-12),
-                "phases": {
-                    **build_phases,
-                    "setup_s": t_setup.elapsed,
-                    "warm_s": t_warm.elapsed,
-                },
-            }
-        )
+        with obs.span(
+            "bench.case", cat="bench",
+            args_fn=lambda: {"family": case["family"]},
+        ):
+            cases_out.append(_bench_case(case, seed, repeats))
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "smoke": bool(smoke),
@@ -715,7 +686,10 @@ def grid_bench(
     serial_rows = None
     for workers in workers_list:
         stats = DispatchStats()
-        with Timer() as t_run:
+        with obs.timed(
+            "bench.grid_run", cat="bench",
+            args_fn=lambda: {"workers": workers},
+        ) as t_run:
             rows = run_grid(
                 config, with_comm=True, workers=workers, stats=stats
             )

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.metrics import ScheduleSummary, summarize_schedule
 from repro.core.assignment import block_assignment
 from repro.experiments.configs import ExperimentConfig
@@ -29,6 +30,7 @@ from repro.util.rng import spawn_rngs
 
 __all__ = [
     "get_instance",
+    "load_or_build_instance",
     "get_blocks",
     "run_cell",
     "run_cell_on",
@@ -57,29 +59,50 @@ def _mesh_cache(mesh: str, target_cells: int, mesh_seed: int):
     return make_mesh(mesh, target_cells=target_cells, seed=mesh_seed)
 
 
-@lru_cache(maxsize=32)
-def _instance_cache(mesh: str, target_cells: int, mesh_seed: int, k: int):
-    # Consult the content-addressed disk cache (repro.cache) before
-    # building: the key is derivable without constructing the mesh, so a
-    # warm process skips mesh generation entirely.  Disabled (pure
-    # build) unless $REPRO_CACHE_DIR is set.
+def load_or_build_instance(
+    mesh: str, target_cells: int, mesh_seed: int, k: int,
+    phases: dict | None = None,
+):
+    """One sweep instance, un-memoised: a disk-cache hit or a fresh build.
+
+    The disk cache (:mod:`repro.cache`, on when ``$REPRO_CACHE_DIR`` is
+    set) is keyed without the mesh, so a hit skips mesh generation; a
+    build seeds it.  :func:`get_instance` memoises this; the serve
+    registry calls it directly so an evicted instance is freed.
+    ``phases``, if given, receives the ``mesh_s``/``build_s``/``cache_s``
+    split, each the ``.elapsed`` of an ``instance.*`` timed interval.
+    """
     from repro import cache as build_cache
 
+    phases = {} if phases is None else phases
+    phases.update(mesh_s=0.0, build_s=0.0, cache_s=0.0)
     key = None
     if build_cache.cache_dir() is not None:
         dirs = directions_for_mesh(mesh_dim(mesh), k)
         key = build_cache.instance_key(
             mesh, target_cells, mesh_seed, k, DEFAULT_TOL, dirs
         )
-        inst = build_cache.load_instance(key)
+        with obs.timed("instance.cache_load", cat="build") as t:
+            inst = build_cache.load_instance(key)
+        phases["cache_s"] += t.elapsed
         if inst is not None:
             return inst
-    m = _mesh_cache(mesh, target_cells, mesh_seed)
-    dirs = directions_for_mesh(m.dim, k)
-    inst = build_instance(m, dirs)
+    with obs.timed("instance.mesh", cat="build") as t:
+        m = _mesh_cache(mesh, target_cells, mesh_seed)
+    phases["mesh_s"] = t.elapsed
+    with obs.timed("instance.build", cat="build") as t:
+        inst = build_instance(m, directions_for_mesh(m.dim, k))
+    phases["build_s"] = t.elapsed
     if key is not None:
-        build_cache.store_instance(key, inst)
+        with obs.timed("instance.cache_store", cat="build") as t:
+            build_cache.store_instance(key, inst)
+        phases["cache_s"] += t.elapsed
     return inst
+
+
+@lru_cache(maxsize=32)
+def _instance_cache(mesh: str, target_cells: int, mesh_seed: int, k: int):
+    return load_or_build_instance(mesh, target_cells, mesh_seed, k)
 
 
 @lru_cache(maxsize=64)
@@ -238,8 +261,6 @@ def run_grid(
 
         run_dispatch(config, with_comm, workers, sink, stats=stats)
     else:
-        from repro import obs
-
         with obs.span(
             "grid.serial",
             cat="parallel",

@@ -48,6 +48,7 @@ SPAWN_BANNED_NAMES = frozenset({
     "build_instance_batched",
     "get_instance",
     "get_blocks",
+    "load_or_build_instance",
     "_instance_cache",
     "_mesh_cache",
     "_blocks_cache",

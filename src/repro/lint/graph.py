@@ -158,7 +158,7 @@ class FunctionInfo:
     unlinks: tuple[str, ...] = ()
     #: ``(line, col, resolved-name)`` of direct RNG constructions.
     rng_sites: tuple = ()
-    #: ``(line, col, in_with)`` of ``obs.span(...)`` creations.
+    #: ``(line, col, in_with)`` of ``obs.span``/``obs.timed`` creations.
     span_sites: tuple = ()
 
     def callees(self) -> set[str]:
@@ -649,8 +649,8 @@ def _analyze_function(
                        "numpy.random.Generator", "random.Random",
                        "numpy.random.seed"):
                 rng_sites.append((sub.lineno, sub.col_offset, raw))
-            if (raw.endswith(".span") and ("obs" in raw or "tracer" in raw)
-                    ) or raw == "repro.obs.span":
+            if raw.endswith((".span", ".timed")) and (
+                    "obs" in raw or "tracer" in raw):
                 span_sites.append((sub.lineno, sub.col_offset, in_with))
 
         # SharedMemory creation sites.

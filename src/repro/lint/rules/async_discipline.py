@@ -14,11 +14,11 @@ code, when called directly from an ``async def`` body inside
   ``repro.serve.protocol.read_frame`` / ``write_frame`` (coroutines
   must use asyncio stream readers/writers);
 * **unguarded instance construction** — ``repro.mesh.make_mesh``,
-  ``repro.sweeps.build_instance``, and the runner's memoised
-  ``get_instance`` / ``get_blocks`` chokepoints build meshes and sweep
-  DAGs for seconds at a time; coroutines must push them through
-  ``loop.run_in_executor`` (the server's registry executor), never call
-  them inline.
+  ``repro.sweeps.build_instance``, and the runner's ``get_instance`` /
+  ``get_blocks`` / ``load_or_build_instance`` chokepoints build meshes
+  and sweep DAGs for seconds at a time; coroutines must push them
+  through ``loop.run_in_executor`` (the server's registry executor),
+  never call them inline.
 
 Only the *coroutine body proper* is in scope: a call inside a nested
 ``def`` or ``lambda`` (e.g. the thunk handed to ``run_in_executor``)
@@ -63,6 +63,10 @@ _BLOCKING_CALLS = {
         "loop.run_in_executor (the registry executor)"
     ),
     "repro.experiments.runner.get_instance": (
+        "instance construction blocks; run it through "
+        "loop.run_in_executor (the registry executor)"
+    ),
+    "repro.experiments.runner.load_or_build_instance": (
         "instance construction blocks; run it through "
         "loop.run_in_executor (the registry executor)"
     ),

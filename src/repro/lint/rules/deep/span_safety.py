@@ -9,8 +9,9 @@ bare ``obs.span(...)`` statement) is never closed when the next line
 raises, which corrupts the nesting the Perfetto exporter validates and
 silently drops the span's duration.
 
-**Every ``obs.span(...)`` creation in a function reachable from a worker
-entrypoint must be the context expression of a ``with`` statement.**
+**Every ``obs.span(...)`` or ``obs.timed(...)`` creation in a function
+reachable from a worker entrypoint must be the context expression of a
+``with`` statement.**
 Parent-side code gets more latitude (the driver can own handles across
 ``yield`` boundaries); worker code, which is exactly the code whose
 exceptions cross a process boundary, does not.

@@ -85,8 +85,8 @@ class DeterminismRule(Rule):
             return [ctx.diagnostic(
                 self, node,
                 "time.time() makes output depend on the wall clock; "
-                "use repro.util.timing (now/Timer) for measurement-only "
-                "timing",
+                "use repro.util.timing.now() or obs.timed for "
+                "measurement-only timing",
             )]
         if full == "random" or full.startswith("random."):
             return [ctx.diagnostic(

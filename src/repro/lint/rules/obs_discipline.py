@@ -10,13 +10,13 @@ checks enforce that:
   built on it) is a finding.  Scattered ``perf_counter`` idioms drift:
   some subtract, some negate, some forget the monotonic contract that
   makes cross-process span timestamps comparable.  Use
-  :func:`repro.util.timing.now` or :class:`repro.util.timing.Timer`.
+  :func:`repro.util.timing.now` or :func:`repro.obs.timed`.
 
 * **eager span annotations** — in the benchmarked hot-path files an
-  ``obs.span(...)`` call must not build its payload per call.  An
-  f-string span name or a dict-literal ``args_fn`` is evaluated even
-  when tracing is disabled, which is exactly the overhead the
-  ``args_fn=lambda: {...}`` indirection exists to avoid.  Span names
+  ``obs.span(...)``/``obs.timed(...)`` call must not build its payload
+  per call.  An f-string span name or a dict-literal ``args_fn`` is
+  evaluated even when tracing is disabled, which is exactly the overhead
+  the ``args_fn=lambda: {...}`` indirection exists to avoid.  Span names
   must be constants; arguments must hide behind a callable.
 
 The eager-annotation check is file-scoped like RPL005: a figure driver
@@ -45,10 +45,12 @@ _HOT_FILES = frozenset({
     "worker.py",
 })
 
-#: Resolved dotted names that denote the span entry point.
+#: Resolved dotted names that open a span (``timed`` does when tracing).
 _SPAN_CALLS = frozenset({
     "repro.obs.span",
     "repro.obs.tracer.span",
+    "repro.obs.timed",
+    "repro.obs.tracer.timed",
 })
 
 
@@ -86,7 +88,7 @@ class ObsDisciplineRule(Rule):
                 out.append(ctx.diagnostic(
                     self, node,
                     "raw time.perf_counter() bypasses the timing "
-                    "chokepoint; use repro.util.timing.now() or Timer",
+                    "chokepoint; use repro.util.timing.now() or obs.timed",
                 ))
             elif hot and _is_span_call(full):
                 out.extend(self._check_span_args(ctx, node))

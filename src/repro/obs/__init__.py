@@ -5,6 +5,8 @@ The package has four small layers:
 * :mod:`repro.obs.tracer` — hierarchical :func:`span` context manager /
   :func:`traced` decorator over a thread-safe ring buffer; a no-op when
   disabled (``REPRO_TRACE`` unset) so hot paths pay ~zero cost.
+  :func:`timed` measures an interval the caller reads back (a span only
+  when tracing is on).
 * :mod:`repro.obs.metrics` — counters/gauges (:func:`inc`,
   :func:`gauge_max`) riding the same enable switch.
 * :mod:`repro.obs.collect` — workers drain their buffers into payloads
@@ -50,6 +52,7 @@ from repro.obs.tracer import (
     peek_spans,
     span,
     span_sort_key,
+    timed,
     traced,
     tracing_enabled,
 )
@@ -59,6 +62,7 @@ __all__ = [
     "DEFAULT_BUFFER_SPANS",
     "Span",
     "span",
+    "timed",
     "traced",
     "enable_tracing",
     "disable_tracing",

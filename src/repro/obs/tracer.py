@@ -11,7 +11,9 @@ grid run live on a single comparable timeline after
 
 Disabled mode is the design center: :func:`span` returns a shared no-op
 context manager and :func:`traced` wraps nothing, so instrumentation in
-hot scheduler loops costs one boolean check.  Callers that want to
+hot scheduler loops costs one boolean check.  :func:`timed` measures an
+interval the caller reads back and records it only when tracing is on.
+Callers that want to
 attach span arguments pass ``args_fn`` — a zero-argument callable built
 lazily *only when tracing is enabled and the span closes* — never an
 eagerly-built f-string or dict (lint rule RPL006 enforces this in
@@ -35,6 +37,7 @@ from repro.util.timing import now
 __all__ = [
     "Span",
     "span",
+    "timed",
     "traced",
     "enable_tracing",
     "disable_tracing",
@@ -97,31 +100,37 @@ _LOCAL = threading.local()
 
 
 class _SpanHandle:
-    """Context manager for one live span (enabled path)."""
+    """One live interval: ``elapsed`` always, a buffered span if ``record``."""
 
-    __slots__ = ("_name", "_cat", "_args_fn", "_start", "_depth")
+    __slots__ = ("_name", "_cat", "_args_fn", "_record", "_start", "_depth", "elapsed")
 
     def __init__(
         self,
         name: str,
         cat: str,
         args_fn: Callable[[], Mapping[str, Any]] | None,
+        record: bool = True,
     ) -> None:
         self._name = name
         self._cat = cat
         self._args_fn = args_fn
+        self._record = record
+        self.elapsed = 0.0
 
     def __enter__(self) -> "_SpanHandle":
-        depth = getattr(_LOCAL, "depth", 0)
-        _LOCAL.depth = depth + 1
-        self._depth = depth
+        if self._record:
+            depth = getattr(_LOCAL, "depth", 0)
+            _LOCAL.depth = depth + 1
+            self._depth = depth
         self._start = now()
         return self
 
     def __exit__(self, *exc: object) -> None:
         # Record before unwinding so a span interrupted by an exception
         # (e.g. SanitizerError mid-chunk) still lands in the buffer.
-        end = now()
+        self.elapsed = now() - self._start
+        if not self._record:
+            return
         _LOCAL.depth = self._depth
         args = self._args_fn() if self._args_fn is not None else None
         _BUFFER.append(
@@ -129,7 +138,7 @@ class _SpanHandle:
                 self._name,
                 self._cat,
                 self._start,
-                end - self._start,
+                self.elapsed,
                 os.getpid(),
                 threading.get_ident(),
                 self._depth,
@@ -166,6 +175,20 @@ def span(
     if not _ENABLED:
         return _NULL_SPAN
     return _SpanHandle(name, cat, args_fn)
+
+
+def timed(
+    name: str,
+    cat: str = "repro",
+    args_fn: Callable[[], Mapping[str, Any]] | None = None,
+) -> _SpanHandle:
+    """Measure an interval: ``.elapsed`` always, a span only when tracing.
+
+    The span's ``dur`` is ``.elapsed`` bit-for-bit (the same two
+    :func:`now` readings); a non-recording handle leaves the depth alone.
+    Intervals nobody reads back use :func:`span`'s shared no-op instead.
+    """
+    return _SpanHandle(name, cat, args_fn, _ENABLED)
 
 
 def traced(name: str | None = None, cat: str = "repro") -> Callable[[_F], _F]:

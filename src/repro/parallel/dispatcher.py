@@ -72,13 +72,12 @@ class CellBatch:
 class DispatchStats:
     """Observability counters for one dispatched grid.
 
-    The ``*_s`` fields are the per-phase wall-clock breakdown the bench
-    schema (v4) records per grid run: ``warm_s`` (parent-side cache
-    warm-up), ``plan_s`` (batch/chunk planning), ``publish_s`` (shared
-    segment publish), ``dispatch_s`` (pool acquisition, with any spawn,
-    then submit through last result), and ``wait_s`` — the portion of
-    ``dispatch_s`` the parent spent blocked on ``wait()`` with no
-    finished chunk to ingest, i.e. aggregation stalls.
+    The ``*_s`` fields are the bench report's per-phase split, each the
+    ``.elapsed`` of its ``obs.timed`` span: ``warm_s`` (``grid.warm``),
+    ``plan_s`` (``grid.plan``), ``publish_s`` (``grid.publish``),
+    ``dispatch_s`` (``grid.execute``: pool acquisition, with any spawn,
+    through last result), and ``wait_s`` — the in-order sum of the
+    ``grid.wait`` spans, i.e. aggregation stalls.
     """
 
     workers: int = 0
@@ -243,7 +242,6 @@ def run_dispatch(
     from repro.parallel.pool import shared_pool
     from repro.parallel.shm_store import SharedInstanceStore
     from repro.parallel.worker import run_chunk, warm_instance
-    from repro.util.timing import Timer
 
     if stats is None:
         stats = DispatchStats()
@@ -258,7 +256,7 @@ def run_dispatch(
                          "n_chunks": stats.n_chunks},
     ):
         inst = get_instance(config)
-        with obs.span("grid.warm", cat="parallel"), Timer() as t_warm:
+        with obs.timed("grid.warm", cat="parallel") as t_warm:
             warm_instance(inst, config.algorithms)
             blocks = {
                 size: get_blocks(config, size)
@@ -266,7 +264,7 @@ def run_dispatch(
                 if size > 1
             }
         stats.warm_s = t_warm.elapsed
-        with obs.span("grid.plan", cat="parallel"), Timer() as t_plan:
+        with obs.timed("grid.plan", cat="parallel") as t_plan:
             batches = plan_batches(config, cells=cells)
             chunks = plan_chunks(batches, workers, cell_cost=inst.n_tasks)
         stats.plan_s = t_plan.elapsed
@@ -275,12 +273,11 @@ def run_dispatch(
         stats.n_chunks = len(chunks)
         stats.chunk_cells = [sum(len(b.cells) for b in c) for c in chunks]
 
-        with obs.span("grid.publish", cat="parallel"), Timer() as t_pub:
+        with obs.timed("grid.publish", cat="parallel") as t_pub:
             store = SharedInstanceStore.publish(inst, blocks=blocks)
         stats.publish_s = t_pub.elapsed
-        obs.gauge_max("parallel.publish_s", t_pub.elapsed)
         with store:
-            with Timer() as t_disp:  # a first-call spawn lands here
+            with obs.timed("grid.execute", cat="parallel") as t_exec:
                 pool = shared_pool().executor(workers)
                 pending = {
                     pool.submit(
@@ -295,7 +292,7 @@ def run_dispatch(
                 }
                 try:
                     while pending:
-                        with Timer() as t_wait:
+                        with obs.timed("grid.wait", cat="parallel") as t_wait:
                             done, pending = wait(
                                 pending, return_when=FIRST_COMPLETED
                             )
@@ -316,5 +313,5 @@ def run_dispatch(
                     for future in pending:
                         future.cancel()
                     raise
-            stats.dispatch_s = t_disp.elapsed
+            stats.dispatch_s = t_exec.elapsed
         obs.gauge_max("parallel.peak_worker_rss_mb", stats.peak_worker_rss_mb)

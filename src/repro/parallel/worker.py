@@ -130,7 +130,6 @@ def run_chunk(
     from repro.experiments.runner import run_cell_on
     from repro.parallel.dispatcher import process_peak_rss_mb
     from repro.parallel.shm_store import attach, verify_attached
-    from repro.util.timing import Timer
 
     if trace:
         obs.enable_tracing()
@@ -142,9 +141,8 @@ def run_chunk(
             cat="parallel",
             args_fn=lambda: {"cells": len(cells)},
         ):
-            with obs.span("worker.attach", cat="parallel"), Timer() as t_at:
+            with obs.span("worker.attach", cat="parallel"):
                 inst, blocks = attach(manifest)
-            obs.gauge_max("parallel.attach_s", t_at.elapsed)
             pairs = []
             for cell in cells:
                 with obs.span(

@@ -71,7 +71,7 @@ class InstanceSpec:
             DEFAULT_TOL, dirs,
         )
 
-    def config(self, block_sizes: tuple = (1,), engine: str = "auto"):
+    def config(self, block_sizes: tuple = (1,)):
         """An :class:`~repro.experiments.configs.ExperimentConfig` view."""
         from repro.experiments.configs import ExperimentConfig
 
@@ -81,7 +81,6 @@ class InstanceSpec:
             mesh_seed=self.mesh_seed,
             k=self.k,
             block_sizes=tuple(block_sizes) or (1,),
-            engine=engine,
             name="serve",
         )
 
@@ -226,7 +225,6 @@ class InstanceRegistry:
         spec: InstanceSpec,
         block_sizes: tuple = (),
         algorithms: tuple = (),
-        engine: str = "auto",
     ) -> ResidentInstance:
         """Resident entry for ``spec`` covering ``block_sizes``.
 
@@ -248,15 +246,13 @@ class InstanceRegistry:
                 return entry
 
         if entry is not None:
-            return self._extend_blocks(entry, needed, engine)
-        return self._publish_new(spec, key, needed, algorithms, engine)
+            return self._extend_blocks(entry, needed)
+        return self._publish_new(spec, key, needed, algorithms)
 
-    def _publish_new(
-        self, spec, key, block_sizes, algorithms, engine
-    ) -> ResidentInstance:
+    def _publish_new(self, spec, key, block_sizes, algorithms) -> ResidentInstance:
         from repro.parallel.shm_store import SharedInstanceStore
 
-        meta, arrays = _load_or_build_arrays(spec, algorithms, engine)
+        meta, arrays = _load_or_build_arrays(spec, algorithms)
         blocks = _build_blocks(spec, block_sizes)
         store = SharedInstanceStore.publish_arrays(meta, arrays, blocks=blocks)
         entry = ResidentInstance(
@@ -283,7 +279,7 @@ class InstanceRegistry:
             store_.close()
         return entry
 
-    def _extend_blocks(self, entry, needed, engine) -> ResidentInstance:
+    def _extend_blocks(self, entry, needed) -> ResidentInstance:
         """Republish ``entry`` with the union of block labellings.
 
         The instance arrays are copied segment-to-segment (no rebuild);
@@ -380,20 +376,20 @@ class InstanceRegistry:
                 handle.store.close()
 
 
-def _load_or_build_arrays(
-    spec: InstanceSpec, algorithms: tuple, engine: str
-) -> tuple:
+def _load_or_build_arrays(spec: InstanceSpec, algorithms: tuple) -> tuple:
     """The instance wire payload, warmed for ``algorithms``.
 
-    The instance comes from the memoised runner chokepoint — a disk-cache
-    hit when ``REPRO_CACHE_DIR`` holds it, else a build that also seeds
-    the disk cache — and is warmed before export, so attached workers
-    inherit the same memo caches on a hit as on a miss.
+    The instance comes from the runner's un-memoised load-or-build (a
+    disk-cache hit or a build that seeds it), so an evicted segment's
+    instance is not kept alive, and is warmed before export, so attached
+    workers inherit the same memo caches on a hit as on a miss.
     """
     from repro.experiments import runner
     from repro.parallel.worker import warm_instance
 
-    inst = runner.get_instance(spec.config(engine=engine))
+    inst = runner.load_or_build_instance(
+        spec.mesh, spec.target_cells, spec.mesh_seed, spec.k
+    )
     warm_instance(inst, algorithms)
     return inst.export_arrays()
 

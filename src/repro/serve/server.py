@@ -281,7 +281,6 @@ class ServeServer:
                 spec,
                 tuple(payload.get("block_sizes", [])),
                 tuple(payload.get("algorithms", [])),
-                payload.get("engine", "auto"),
             )
             return {
                 "instance": entry.key,
@@ -305,7 +304,6 @@ class ServeServer:
                 spec,
                 (payload["block_size"],),
                 (payload["algorithm"],),
-                engine,
             )
             # The publish may have been the slow part; a request whose
             # deadline died waiting for it must not dispatch.
@@ -330,13 +328,12 @@ class ServeServer:
                 lease.release()
             self.admission.release()
 
-    async def _get_or_publish(self, spec, block_sizes, algorithms, engine):
+    async def _get_or_publish(self, spec, block_sizes, algorithms):
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._registry_exec,
             lambda: self.registry.get_or_publish(
                 spec, block_sizes=block_sizes, algorithms=algorithms,
-                engine=engine,
             ),
         )
 

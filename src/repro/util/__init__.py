@@ -14,7 +14,7 @@ from repro.util.errors import (
 # SeedLike (the seed-argument alias) lives in repro.util.rng; it is a
 # typing construct, not a callable export, so it stays out of __all__.
 from repro.util.rng import as_rng, spawn_rng, spawn_rngs
-from repro.util.timing import Timer, now
+from repro.util.timing import now
 
 __all__ = [
     "ReproError",
@@ -25,6 +25,5 @@ __all__ = [
     "as_rng",
     "spawn_rng",
     "spawn_rngs",
-    "Timer",
     "now",
 ]

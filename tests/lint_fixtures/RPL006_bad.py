@@ -4,7 +4,7 @@
 # directive places on the benchmarked hot path.
 import time
 
-from repro.obs import span
+from repro.obs import span, timed
 
 
 def handrolled_timer(fn):
@@ -22,4 +22,10 @@ def traced_cells(cells):
 def traced_with_eager_args(cells):
     for tid in cells:
         with span("cell", args_fn={"tid": tid}):  # dict built per iteration
+            pass
+
+
+def timed_with_eager_args(cells):
+    for tid in cells:
+        with timed("cell", args_fn={"tid": tid}):  # dict built per iteration
             pass

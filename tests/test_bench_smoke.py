@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import cache as build_cache
+from repro import obs
 from repro.cli import main
 from repro.experiments import runner
 from repro.experiments.bench import (
@@ -247,6 +248,52 @@ def test_partial_families_report():
     assert statuses["grid_identical"] == "skipped: partial report"
     assert statuses["checksum_wide_layer"] == "skipped: wide_layer not benchmarked"
     assert not statuses["checksum_chain"].startswith("skipped")
+
+
+def test_traced_case_phases_are_their_spans():
+    """Every case phase is the ``.elapsed`` of one timed interval —
+    ``instance.*`` for acquisition, ``bench.*`` for the rest — so a
+    traced run records it as a span of exactly that duration."""
+    was = obs.tracing_enabled()
+    obs.reset()
+    obs.enable_tracing()
+    try:
+        report = run_bench(smoke=True, families=list(BENCH_FAMILIES))
+        spans = obs.drain_spans()
+    finally:
+        obs.reset()
+        if not was:
+            obs.disable_tracing()
+    # Drain order is close order: a case's spans close before the
+    # bench.case span that encloses them.
+    groups, current = [], []
+    for span in spans:
+        if span.name == "bench.case":
+            groups.append((span.args["family"], current))
+            current = []
+        else:
+            current.append(span)
+    assert [fam for fam, _ in groups] == report["families"]
+    for case, (_, inner) in zip(report["cases"], groups):
+        durs = {}
+        for span in inner:
+            durs.setdefault(span.name, []).append(span.dur)
+        phases = case["phases"]
+        assert phases["mesh_s"] == durs.get("instance.mesh", [0.0])[0]
+        (build,) = durs["instance.build"]
+        (setup,) = durs["bench.setup"]
+        (warm,) = durs["bench.warm"]
+        cache = 0.0
+        for d in durs.get("instance.cache_load", []) + durs.get(
+            "instance.cache_store", []
+        ):
+            cache += d
+        assert (phases["build_s"], phases["setup_s"], phases["warm_s"],
+                phases["cache_s"]) == (build, setup, warm, cache)
+        for engine, timing in case["engines"].items():
+            repeats = [s.dur for s in inner if s.name == "bench.engine_repeat"
+                       and s.args == {"engine": engine}]
+            assert timing["wall_time_s"] == min(repeats)
 
 
 def test_unknown_family_rejected():

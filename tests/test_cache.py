@@ -325,11 +325,11 @@ class TestServePublishHitEqualsMiss:
         algorithms = ("dfds", "descendant")
         runner.clear_caches()
         try:
-            miss_meta, miss = _load_or_build_arrays(spec, algorithms, "auto")
+            miss_meta, miss = _load_or_build_arrays(spec, algorithms)
             assert build_cache.COUNTERS["store"] == 1
             miss = {name: np.array(arr) for name, arr in miss.items()}
             runner.clear_caches()
-            hit_meta, hit = _load_or_build_arrays(spec, algorithms, "auto")
+            hit_meta, hit = _load_or_build_arrays(spec, algorithms)
             assert build_cache.COUNTERS["hit"] == 1
         finally:
             runner.clear_caches()

@@ -49,7 +49,7 @@ EXPECTED_BAD = {
     "RPL003": 2,
     "RPL004": 4,
     "RPL005": 3,
-    "RPL006": 4,
+    "RPL006": 5,
     "RPL007": 6,
 }
 

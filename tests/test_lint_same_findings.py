@@ -60,6 +60,7 @@ EXPECTED_FINDINGS = {
         ("RPL006", "RPL006_bad.py", 13, 11),
         ("RPL006", "RPL006_bad.py", 18, 18),
         ("RPL006", "RPL006_bad.py", 24, 34),
+        ("RPL006", "RPL006_bad.py", 30, 35),
     ],
     "RPL006_ok.py": [],
     "RPL007_bad.py": [
@@ -110,7 +111,7 @@ def test_targets_cover_every_fixture():
     found = sorted(flat) + sorted(f"deep/{n}" for n in deep)
     assert sorted(found) == sorted(EXPECTED_FINDINGS)
     assert len(EXPECTED_FINDINGS) == 25
-    assert sum(len(v) for v in EXPECTED_FINDINGS.values()) == 41
+    assert sum(len(v) for v in EXPECTED_FINDINGS.values()) == 42
 
 
 @pytest.mark.parametrize("target", sorted(EXPECTED_FINDINGS))

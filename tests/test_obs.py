@@ -154,6 +154,49 @@ class TestDisabledPath:
         assert not tracer_mod._env_enabled()
 
 
+class TestTimed:
+    def test_disabled_records_nothing_but_measures(self, untraced_env):
+        calls = []
+        with obs.timed("t", args_fn=lambda: calls.append(1) or {}) as h:
+            sum(range(1000))
+        assert h.elapsed > 0
+        assert calls == []
+        assert obs.drain_spans() == []
+
+    def test_disabled_handle_leaves_depth_alone(self, untraced_env):
+        with obs.timed("outer"):
+            assert getattr(tracer_mod._LOCAL, "depth", 0) == 0
+        obs.enable_tracing()
+        try:
+            with obs.span("inner"):
+                pass
+        finally:
+            obs.disable_tracing()
+        (s,) = obs.drain_spans()
+        assert s.depth == 0
+
+    def test_enabled_span_dur_is_elapsed_bit_for_bit(self, traced_env):
+        with obs.timed("outer", cat="t", args_fn=lambda: {"a": 1}) as outer:
+            with obs.timed("inner", cat="t") as inner:
+                pass
+        spans = {s.name: s for s in obs.drain_spans()}
+        assert spans["inner"].dur == inner.elapsed
+        assert spans["outer"].dur == outer.elapsed
+        assert spans["outer"].args == {"a": 1}
+        assert (spans["outer"].depth, spans["inner"].depth) == (0, 1)
+
+    def test_exception_still_sets_elapsed_and_records(self, traced_env):
+        h = obs.timed("boom")
+        with pytest.raises(RuntimeError):
+            with h:
+                raise RuntimeError("x")
+        (s,) = obs.drain_spans()
+        assert h.elapsed > 0 and s.dur == h.elapsed
+
+    def test_handle_is_never_the_shared_noop(self, untraced_env):
+        assert obs.timed("a") is not obs.timed("a")
+
+
 class TestRingBuffer:
     def test_buffer_keeps_only_the_tail(self, traced_env):
         obs.enable_tracing(buffer_spans=4)

@@ -21,6 +21,7 @@ from repro import obs
 from repro.cache import DIR_ENV
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import clear_caches, run_grid
+from repro.parallel import DispatchStats
 from repro.parallel.pool import shared_pool
 
 TRACE_CONFIG = ExperimentConfig(
@@ -75,7 +76,31 @@ class TestMultiprocessTrace:
         assert n_cells == len(TRACE_CONFIG.seeds)
         # Worker metrics merged into the parent registry.
         assert metrics["counters"]  # scheduler counters from workers
-        assert "parallel.publish_s" in metrics["gauges"]
+        assert "grid.publish" in names_by_pid[driver]
+
+    def test_dispatch_phases_are_their_spans(self, traced_env):
+        obs.reset()
+        stats = DispatchStats()
+        run_grid(TRACE_CONFIG, with_comm=True, workers=2, stats=stats)
+        driver = os.getpid()
+        # Drain order is close order: the grid.wait spans arrive in the
+        # order the dispatcher accumulated them.
+        spans = [s for s in obs.drain_spans() if s.pid == driver]
+
+        def dur(name):
+            (s,) = [s for s in spans if s.name == name]
+            return s.dur
+
+        assert stats.warm_s == dur("grid.warm")
+        assert stats.plan_s == dur("grid.plan")
+        assert stats.publish_s == dur("grid.publish")
+        assert stats.dispatch_s == dur("grid.execute")
+        waits = [s.dur for s in spans if s.name == "grid.wait"]
+        assert waits
+        total = 0.0
+        for d in waits:
+            total += d
+        assert stats.wait_s == total
 
     def test_merged_order_is_deterministic(self, traced_env):
         _, spans, _ = _traced_grid_run(workers=2)
@@ -103,6 +128,11 @@ class TestMultiprocessTrace:
             for s in spans:
                 key = (s.name, s.cat, s.depth)
                 counts[key] = counts.get(key, 0) + 1
+            # One grid.wait per wait() call: how many chunks finish per
+            # call is arrival timing, not structure.
+            for key in counts:
+                if key[0] == "grid.wait":
+                    counts[key] = 1
             return counts
 
         warm = shape(first)
@@ -113,12 +143,14 @@ class TestMultiprocessTrace:
             key: n for key, n in shape(cold).items() if key not in warm
         }
         assert extra == {
-            ("mesh.generate", "mesh", 1): 1,
-            ("build.edges", "build", 1): 1,
-            ("build.csr", "build", 1): 1,
-            ("build.levels", "build", 1): 1,
-            ("build.cycle_check", "build", 1): 1,
-            ("worker.spawn", "parallel", 1): 1,
+            ("instance.mesh", "build", 1): 1,
+            ("mesh.generate", "mesh", 2): 1,
+            ("instance.build", "build", 1): 1,
+            ("build.edges", "build", 2): 1,
+            ("build.csr", "build", 2): 1,
+            ("build.levels", "build", 2): 1,
+            ("build.cycle_check", "build", 2): 1,
+            ("worker.spawn", "parallel", 2): 1,  # inside grid.execute
         }
         assert {k: n for k, n in shape(cold).items() if k in warm} == warm
 

@@ -23,7 +23,7 @@ from repro.core.list_scheduler import list_schedule
 from repro.core.random_delay import delayed_task_layers, draw_delays
 from repro.experiments.bench import bench_cases
 from repro.util.rng import as_rng
-from repro.util.timing import Timer
+from repro.util.timing import now
 
 pytestmark = pytest.mark.bench_smoke
 
@@ -68,23 +68,22 @@ def untraced():
 
 def _disabled_primitive_cost(iterations: int = 20000) -> float:
     """Measured per-call cost of the disabled obs fast path (seconds)."""
-    with Timer() as t:
-        for _ in range(iterations):
-            with obs.span("overhead.probe", cat="bench"):
-                pass
-            obs.inc("overhead.probe")
-            obs.gauge_max("overhead.probe", 1.0)
+    t0 = now()
+    for _ in range(iterations):
+        with obs.span("overhead.probe", cat="bench"):
+            pass
+        obs.inc("overhead.probe")
+        obs.gauge_max("overhead.probe", 1.0)
     # Three primitives per iteration; charge the dearest uniformly.
-    return t.elapsed / (3 * iterations)
+    return (now() - t0) / (3 * iterations)
 
 
 def _engine_wall(inst, m, assignment, priority, engine, repeats=5) -> float:
     best = float("inf")
     for _ in range(repeats):
-        with Timer() as t:
-            list_schedule(inst, m, assignment, priority=priority,
-                          engine=engine)
-        best = min(best, t.elapsed)
+        t0 = now()
+        list_schedule(inst, m, assignment, priority=priority, engine=engine)
+        best = min(best, now() - t0)
     return best
 
 

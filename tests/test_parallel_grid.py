@@ -10,6 +10,7 @@ marked ``grid_smoke`` so CI runs them as a dedicated job:
     python -m pytest -q -m grid_smoke
 """
 
+import concurrent.futures
 import multiprocessing
 import os
 import signal
@@ -157,20 +158,33 @@ class TestResidentPool:
         driver = os.getpid()
         assert {s.pid for s in spans if s.pid != driver} <= first
 
-    def test_sigkilled_worker_fails_loudly_then_respawns(self, traced_env):
+    def test_sigkilled_worker_fails_loudly_then_respawns(
+        self, traced_env, monkeypatch
+    ):
         serial = run_grid(PRESET_COMM, with_comm=True, workers=1)
         run_grid(PRESET_COMM, with_comm=True, workers=2)
         victims = _pool_pids()
         assert len(victims) == 2
+        real_wait = concurrent.futures.wait
 
-        def killing_sink(index, summary):
-            # First result in: the other chunks are still pending, so
-            # killing the workers now strands them.
+        def killing_wait(fs, *args, **kwargs):
+            # The dispatcher's first wait() follows the last submit; the
+            # workers are stopped, so every chunk is still unfinished
+            # when they die.
             while victims:
                 os.kill(victims.pop(), signal.SIGKILL)
+            return real_wait(fs, *args, **kwargs)
 
-        with pytest.raises(BrokenProcessPool):
-            run_dispatch(PRESET_COMM, True, 2, killing_sink)
+        for pid in victims:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(concurrent.futures, "wait", killing_wait)
+                with pytest.raises(BrokenProcessPool):
+                    run_dispatch(PRESET_COMM, True, 2, lambda i, s: None)
+        finally:
+            while victims:  # never leave a stopped worker behind
+                os.kill(victims.pop(), signal.SIGKILL)
         assert list_orphan_segments() == []
         obs.reset()
         assert run_grid(PRESET_COMM, with_comm=True, workers=2) == serial

@@ -197,6 +197,39 @@ class TestRegistry:
             registry.close_all()
         assert list_orphan_segments() == []
 
+    def test_evicted_instances_are_not_retained(self, monkeypatch):
+        # The registry's byte budget is the daemon's memory bound: an
+        # evicted instance must not live on in a process-wide memo.
+        import gc
+        import weakref
+
+        from repro.experiments import runner
+        from repro.parallel import worker
+
+        runner.clear_caches()
+        refs = []
+        real_warm = worker.warm_instance
+
+        def tracking_warm(inst, algorithms):
+            refs.append(weakref.ref(inst))
+            return real_warm(inst, algorithms)
+
+        monkeypatch.setattr(worker, "warm_instance", tracking_warm)
+        registry = InstanceRegistry(max_bytes=1)
+        try:
+            for seed in range(4):
+                registry.get_or_publish(_spec(seed), algorithms=("dfds",))
+            assert len(registry.snapshot()["instances"]) == 1
+            assert registry.counters["evictions"] == 3
+            assert runner._instance_cache.cache_info().currsize == 0
+            gc.collect()
+            assert len(refs) == 4
+            assert all(ref() is None for ref in refs)
+        finally:
+            registry.close_all()
+            runner.clear_caches()
+        assert list_orphan_segments() == []
+
     def test_block_extension_retires_leased_segment(self):
         registry = InstanceRegistry()
         try:

@@ -1,7 +1,5 @@
 """Tests for the util layer (rng, errors, timing)."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.util import (
     MeshError,
     PartitionError,
     ReproError,
-    Timer,
     as_rng,
     spawn_rngs,
 )
@@ -65,17 +62,10 @@ class TestErrors:
             raise exc("boom")
 
 
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
+class TestTiming:
+    def test_now_is_the_only_export(self):
+        from repro.util import timing
 
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= first
+        assert timing.__all__ == ["now"]
+        a = timing.now()
+        assert timing.now() >= a
