@@ -1,13 +1,13 @@
-"""Content-addressed on-disk cache of built sweep instances.
+"""Content-addressed on-disk cache of built sweep instances and block labels.
 
 Instance construction (mesh → per-direction edge induction → cycle
 check → CSR → levels) is deterministic in ``(mesh family, params, seed,
-direction set, tol)``, so its output can be cached across *processes* —
-every bench, grid, and campaign rerun on the same configuration is a
-warm start.  This module persists the
+direction set, tol)`` and partitioning in ``(mesh, block size, seed)``,
+so both can be cached across *processes* — every bench, grid, campaign,
+figure and serve rerun is a warm start.  This module persists the
 :meth:`~repro.core.instance.SweepInstance.export_arrays` wire format
-(the same flat arrays the shared-memory plane publishes) under
-:data:`DIR_ENV`, keyed by a blake2b content hash.
+(the same flat arrays the shared-memory plane publishes) and one-array
+label entries under :data:`DIR_ENV`, keyed by a blake2b content hash.
 
 Design contract
 ---------------
@@ -27,10 +27,10 @@ Design contract
   evicted until the directory fits :data:`MAX_MB_ENV` (default
   :data:`DEFAULT_MAX_MB`); loads touch ``mtime`` so hot entries stay.
 
-Session counters (:data:`COUNTERS` — hit/miss/store/evict) are plain
-ints so CI can assert a warm rerun actually hit (``counter > 0``)
+Session counters (:data:`COUNTERS` — hit/miss/store/evict, blocks.hit/
+blocks.miss) are plain ints so CI can assert a warm rerun actually hit
 without enabling tracing; the same events are mirrored onto the
-:mod:`repro.obs` metrics plane (``cache.hit`` etc.) when tracing is on.
+:mod:`repro.obs` metrics plane (``cache.blocks.hit`` etc.) when tracing is on.
 
 Crash injection (test hook)
 ---------------------------
@@ -72,11 +72,14 @@ __all__ = [
     "cache_dir",
     "override_dir",
     "instance_key",
+    "blocks_key",
     "entry_path",
     "store_arrays",
     "load_arrays",
     "store_instance",
     "load_instance",
+    "store_blocks",
+    "load_blocks",
     "list_entries",
     "list_corrupt_entries",
     "cache_stats",
@@ -108,7 +111,8 @@ _MAGIC = b"REPROCACHE\n"
 _ALIGN = 64
 
 #: Per-process event counters (independent of the obs tracing switch).
-COUNTERS: dict[str, int] = {"hit": 0, "miss": 0, "store": 0, "evict": 0}
+COUNTERS: dict[str, int] = {"hit": 0, "miss": 0, "store": 0, "evict": 0,
+                            "blocks.hit": 0, "blocks.miss": 0}
 
 
 def reset_counters() -> None:
@@ -153,6 +157,11 @@ def override_dir(path: str | os.PathLike | None) -> Iterator[Path | None]:
             os.environ[DIR_ENV] = previous
 
 
+def _content_key(**fields) -> str:
+    blob = json.dumps({"cache_version": CACHE_VERSION, **fields}, sort_keys=True)
+    return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+
+
 def instance_key(
     mesh: str,
     target_cells: int,
@@ -170,18 +179,23 @@ def instance_key(
     platforms with identical float semantics.
     """
     dirs = np.ascontiguousarray(np.asarray(directions, dtype=np.float64))
-    payload = {
-        "cache_version": CACHE_VERSION,
-        "mesh": str(mesh),
-        "target_cells": int(target_cells),
-        "mesh_seed": int(mesh_seed),
-        "k": int(k),
-        "tol": float(tol),
-        "directions": hashlib.blake2b(dirs.tobytes(), digest_size=16).hexdigest(),
-        "directions_shape": list(dirs.shape),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    return _content_key(
+        mesh=str(mesh), target_cells=int(target_cells),
+        mesh_seed=int(mesh_seed), k=int(k), tol=float(tol),
+        directions=hashlib.blake2b(dirs.tobytes(), digest_size=16).hexdigest(),
+        directions_shape=list(dirs.shape),
+    )
+
+
+def blocks_key(mesh: str, target_cells: int, mesh_seed: int, block_size: int) -> str:
+    """Content key of one mesh's cell→block labelling, partitioned with the
+    mesh seed: the mesh fields of :func:`instance_key` plus the block size
+    and partition seed, never ``k``."""
+    return _content_key(
+        mesh=str(mesh), target_cells=int(target_cells),
+        mesh_seed=int(mesh_seed), block_size=int(block_size),
+        partition_seed=int(mesh_seed),
+    )
 
 
 def entry_path(key: str) -> Path | None:
@@ -365,6 +379,21 @@ def load_instance(key: str) -> "SweepInstance | None":
     return SweepInstance.from_arrays(meta, arrays, adopted=False)
 
 
+def store_blocks(key: str, mesh: str, labels: np.ndarray, block_size: int):
+    """Persist one cell→block labelling under ``key``."""
+    meta = {"name": mesh, "n_cells": len(labels), "block_size": block_size}
+    return store_arrays(key, meta, {"labels": labels})
+
+
+def load_blocks(key: str) -> np.ndarray | None:
+    """The labelling under ``key``, or ``None``; counted as ``blocks.*``."""
+    hit = load_arrays(key)
+    outcome = "miss" if hit is None else "hit"
+    COUNTERS[f"blocks.{outcome}"] += 1
+    obs.inc(f"cache.blocks.{outcome}")
+    return None if hit is None else hit[1]["labels"]
+
+
 def _entry_files(root: Path) -> list[Path]:
     return sorted(root.glob(f"*{ENTRY_SUFFIX}"))
 
@@ -404,9 +433,9 @@ def list_entries() -> list[dict]:
     """Summaries of every committed entry (empty when disabled).
 
     Each dict carries ``key``, ``bytes``, ``mtime`` and — when the header
-    parses — the instance ``name``/``n_cells``/``k``.  Corrupt entries
-    appear with an ``error`` field instead of raising, so ``repro cache
-    ls`` can display a damaged directory.
+    parses — the ``name``/``n_cells`` and ``k`` or ``block_size``.  Corrupt
+    entries appear with an ``error`` field instead of raising, so ``repro
+    cache ls`` can display a damaged directory.
     """
     root = cache_dir()
     if root is None:
@@ -425,9 +454,8 @@ def list_entries() -> list[dict]:
         try:
             header, _ = _parse_entry(path.read_bytes(), path.name)
             meta = header.get("meta", {})
-            entry["name"] = meta.get("name")
-            entry["n_cells"] = meta.get("n_cells")
-            entry["k"] = meta.get("k")
+            listed = ("name", "n_cells", "k", "block_size")
+            entry.update((f, meta[f]) for f in listed if f in meta)
         except (CacheError, OSError) as exc:
             entry["error"] = str(exc)
         out.append(entry)

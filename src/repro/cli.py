@@ -933,9 +933,11 @@ def _cmd_cache(args) -> int:
                 if "error" in e:
                     print(f"{e['key']}  CORRUPT: {e['error']}")
                 else:
+                    what = (f"block={e['block_size']}" if "block_size" in e
+                            else f"k={e.get('k', '?')}")
                     print(f"{e['key']}  {e['bytes']:12d}B  "
                           f"{e.get('name', '?')} n={e.get('n_cells', '?')} "
-                          f"k={e.get('k', '?')}")
+                          f"{what}")
             print(f"{len(entries)} entries in {build_cache.cache_dir()}")
             return 0
         stats = build_cache.cache_stats()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.core.instance import SweepInstance
 from repro.core.schedule import Schedule
 from repro.util.errors import InvalidScheduleError
@@ -59,51 +60,52 @@ def schedule_layers_sequentially(
         Verify that every precedence edge goes to a strictly higher layer
         (cheap, vectorised).  Disable only for internally-derived layers.
     """
-    task_layer = np.asarray(task_layer, dtype=np.int64)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    n_tasks = inst.n_tasks
-    if task_layer.shape != (n_tasks,):
-        raise InvalidScheduleError(
-            f"task_layer has shape {task_layer.shape}, expected ({n_tasks},)"
+    with obs.span("schedule.layers", cat="core"):
+        task_layer = np.asarray(task_layer, dtype=np.int64)
+        assignment = np.asarray(assignment, dtype=np.int64)
+        n_tasks = inst.n_tasks
+        if task_layer.shape != (n_tasks,):
+            raise InvalidScheduleError(
+                f"task_layer has shape {task_layer.shape}, expected ({n_tasks},)"
+            )
+        if check_layers and n_tasks:
+            union = inst.union_dag()
+            if union.num_edges:
+                src = union.edges[:, 0]
+                dst = union.edges[:, 1]
+                bad = task_layer[src] >= task_layer[dst]
+                if bad.any():
+                    j = int(np.flatnonzero(bad)[0])
+                    raise InvalidScheduleError(
+                        f"layer assignment violates precedence on edge "
+                        f"{src[j]} -> {dst[j]}: layers "
+                        f"{task_layer[src[j]]} >= {task_layer[dst[j]]}"
+                    )
+
+        task_proc = np.tile(assignment, inst.k)
+        per_layer = layer_makespans(task_layer, task_proc, m)
+        # Layer r occupies the half-open step interval
+        # [layer_offset[r], layer_offset[r] + per_layer[r]).
+        layer_offset = np.concatenate([[0], np.cumsum(per_layer)[:-1]]).astype(np.int64)
+
+        # Position of each task inside its (layer, processor) group.
+        start = np.empty(n_tasks, dtype=np.int64)
+        if n_tasks:
+            key = task_layer * m + task_proc
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            new_group = np.empty(n_tasks, dtype=bool)
+            new_group[0] = True
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
+            group_id = np.cumsum(new_group) - 1
+            group_first = np.flatnonzero(new_group)
+            pos_in_group = np.arange(n_tasks, dtype=np.int64) - group_first[group_id]
+            start[order] = layer_offset[task_layer[order]] + pos_in_group
+
+        return Schedule(
+            instance=inst,
+            m=m,
+            start=start,
+            assignment=assignment,
+            meta=dict(meta or {}),
         )
-    if check_layers and n_tasks:
-        union = inst.union_dag()
-        if union.num_edges:
-            src = union.edges[:, 0]
-            dst = union.edges[:, 1]
-            bad = task_layer[src] >= task_layer[dst]
-            if bad.any():
-                j = int(np.flatnonzero(bad)[0])
-                raise InvalidScheduleError(
-                    f"layer assignment violates precedence on edge "
-                    f"{src[j]} -> {dst[j]}: layers "
-                    f"{task_layer[src[j]]} >= {task_layer[dst[j]]}"
-                )
-
-    task_proc = np.tile(assignment, inst.k)
-    per_layer = layer_makespans(task_layer, task_proc, m)
-    # Layer r occupies the half-open step interval
-    # [layer_offset[r], layer_offset[r] + per_layer[r]).
-    layer_offset = np.concatenate([[0], np.cumsum(per_layer)[:-1]]).astype(np.int64)
-
-    # Position of each task inside its (layer, processor) group.
-    start = np.empty(n_tasks, dtype=np.int64)
-    if n_tasks:
-        key = task_layer * m + task_proc
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        new_group = np.empty(n_tasks, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-        group_id = np.cumsum(new_group) - 1
-        group_first = np.flatnonzero(new_group)
-        pos_in_group = np.arange(n_tasks, dtype=np.int64) - group_first[group_id]
-        start[order] = layer_offset[task_layer[order]] + pos_in_group
-
-    return Schedule(
-        instance=inst,
-        m=m,
-        start=start,
-        assignment=assignment,
-        meta=dict(meta or {}),
-    )

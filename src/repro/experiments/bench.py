@@ -154,14 +154,14 @@ def _bench_cells(smoke: bool, cells: int | None) -> int:
 def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
     """Build (or cache-load) one mesh-family instance with phase timings.
 
-    ``phases`` is :func:`repro.experiments.runner.load_or_build_instance`'s
+    ``phases`` is :func:`repro.experiments.runner.load_or_build`'s
     ``mesh_s``/``build_s``/``cache_s`` split; a cache hit skips the build
     (``build_s == 0``).  Either way the levels arrive pre-materialised.
     """
-    from repro.experiments.runner import load_or_build_instance
+    from repro.experiments.runner import load_or_build
 
     phases: dict = {}
-    return load_or_build_instance("tetonly", cells, 0, k, phases), phases
+    return load_or_build("tetonly", cells, 0, k, phases=phases)[0], phases
 
 
 def _family_instance_timed(builder) -> tuple[object, dict]:
@@ -254,9 +254,10 @@ def _time_engine(inst, m, assignment, priority, engine, repeats):
 def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
     """Cold-vs-warm instance construction through the build cache.
 
-    Cold = mesh generation + batched DAG build + cache store; warm = one
-    :func:`repro.cache.load_instance` hit on the same content key,
-    inside a throwaway cache directory (the caller's ``REPRO_CACHE_DIR``
+    Cold = mesh generation + batched DAG build + cache store; warm = a
+    disk hit on the same content key, both through
+    :func:`repro.experiments.runner.load_or_build` in a throwaway cache
+    directory (the caller's ``REPRO_CACHE_DIR``
     is untouched).  The loaded instance's exported arrays are compared
     byte-for-byte against the cold build's — the cache must be an exact
     substitute, not an approximation — and the hit is confirmed via the
@@ -266,33 +267,22 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
     import tempfile
 
     from repro import cache as build_cache
-    from repro.mesh.generators import make_mesh
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
-    from repro.sweeps.directions import directions_for_mesh
+    from repro.experiments.runner import load_or_build
 
     cells = _bench_cells(smoke, cells)
     k = 8 if smoke else 24
     with tempfile.TemporaryDirectory(prefix="repro_bench_cache_") as tmp:
         with build_cache.override_dir(tmp):
-            dirs = directions_for_mesh(3, k)
-            key = build_cache.instance_key(
-                "tetonly", cells, 0, k, DEFAULT_TOL, dirs
-            )
             before_hits = build_cache.COUNTERS["hit"]
             with obs.timed("bench.construction_cold", cat="bench") as t_cold:
-                mesh = make_mesh("tetonly", target_cells=cells, seed=0)
-                inst = build_instance(mesh, dirs)
-                build_cache.store_instance(key, inst)
+                inst, _ = load_or_build("tetonly", cells, 0, k)
             with obs.timed("bench.construction_warm", cat="bench") as t_warm:
-                warm = build_cache.load_instance(key)
+                warm, _ = load_or_build("tetonly", cells, 0, k)
             hits = build_cache.COUNTERS["hit"] - before_hits
             cold_meta, cold_arrays = inst.export_arrays()
-            warm_meta, warm_arrays = (
-                warm.export_arrays() if warm is not None else (None, {})
-            )
+            warm_meta, warm_arrays = warm.export_arrays()
             identical = (
-                warm is not None
-                and cold_meta == warm_meta
+                cold_meta == warm_meta
                 and set(cold_arrays) == set(warm_arrays)
                 and all(
                     cold_arrays[name].dtype == warm_arrays[name].dtype

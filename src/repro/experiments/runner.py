@@ -1,22 +1,23 @@
 """Experiment runner: builds instances, sweeps grids, collects rows.
 
-Meshes, instances, and block partitions are memoised per process — the
-grid sweeps in the figure reproductions reuse one instance across dozens
-of (algorithm, m, seed) cells, and the partitioner output across all
-seeds, exactly like the paper's setup ("we first do the same block
-assignment").  Instances are built by
-:func:`repro.sweeps.dag_builder.build_instance` and — when
-``REPRO_CACHE_DIR`` is set — cached *across* processes by the
-content-addressed build cache (:mod:`repro.cache`), so bench, grid, and
-campaign reruns warm-start construction.
+A grid reuses one instance across its (algorithm, m, seed) cells and one
+block labelling per block size, like the paper ("we first do the same
+block assignment").  :func:`load_or_build` is the one path to both: a
+hit in the disk cache (:mod:`repro.cache`, on when ``REPRO_CACHE_DIR``
+is set) or a build that stores itself, with the mesh generated at most
+once.  The grid drivers read it through one bounded per-process memo
+(:func:`get_grid_inputs`, :func:`get_instance`, :func:`get_blocks`;
+:func:`clear_caches`); the serve registry calls it directly, so an
+evicted instance keeps nothing alive.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 
 import numpy as np
 
+from repro import cache as build_cache
 from repro import obs
 from repro.analysis.metrics import ScheduleSummary, summarize_schedule
 from repro.core.assignment import block_assignment
@@ -30,8 +31,10 @@ from repro.util.rng import spawn_rngs
 
 __all__ = [
     "get_instance",
-    "load_or_build_instance",
     "get_blocks",
+    "get_grid_inputs",
+    "load_or_build",
+    "instance_cache_key",
     "run_cell",
     "run_cell_on",
     "run_grid",
@@ -54,82 +57,106 @@ def row_key(algorithm: str, m: int, block_size: int) -> str:
     return f"{algorithm}/b{block_size}/m{m}"
 
 
-@lru_cache(maxsize=32)
-def _mesh_cache(mesh: str, target_cells: int, mesh_seed: int):
-    return make_mesh(mesh, target_cells=target_cells, seed=mesh_seed)
+def instance_cache_key(mesh: str, target_cells: int, mesh_seed: int, k: int) -> str:
+    """The :mod:`repro.cache` key of a configuration's instance (and its
+    serve-registry identity)."""
+    dirs = directions_for_mesh(mesh_dim(mesh), k)
+    return build_cache.instance_key(
+        mesh, target_cells, mesh_seed, k, DEFAULT_TOL, dirs
+    )
 
 
-def load_or_build_instance(
-    mesh: str, target_cells: int, mesh_seed: int, k: int,
-    phases: dict | None = None,
-):
-    """One sweep instance, un-memoised: a disk-cache hit or a fresh build.
+def load_or_build(
+    mesh: str, target_cells: int, mesh_seed: int, k: int | None,
+    block_sizes=(), phases: dict | None = None,
+) -> tuple:
+    """``(instance, {size: labels})`` for every block size > 1, un-memoised.
 
-    The disk cache (:mod:`repro.cache`, on when ``$REPRO_CACHE_DIR`` is
-    set) is keyed without the mesh, so a hit skips mesh generation; a
-    build seeds it.  :func:`get_instance` memoises this; the serve
-    registry calls it directly so an evicted instance is freed.
-    ``phases``, if given, receives the ``mesh_s``/``build_s``/``cache_s``
-    split, each the ``.elapsed`` of an ``instance.*`` timed interval.
+    Each product is a disk-cache hit or is built and stored; at most one
+    mesh is generated, only on a miss.  Labels are partitioned with
+    ``mesh_seed``; ``k=None`` skips the instance.  ``phases`` receives the
+    ``mesh_s``/``build_s``/``cache_s`` split of the ``instance.*`` spans.
     """
-    from repro import cache as build_cache
-
     phases = {} if phases is None else phases
     phases.update(mesh_s=0.0, build_s=0.0, cache_s=0.0)
-    key = None
+    sizes = sorted({int(s) for s in block_sizes if s > 1})
+    inst, blocks, keys = None, {}, {}
     if build_cache.cache_dir() is not None:
-        dirs = directions_for_mesh(mesh_dim(mesh), k)
-        key = build_cache.instance_key(
-            mesh, target_cells, mesh_seed, k, DEFAULT_TOL, dirs
-        )
         with obs.timed("instance.cache_load", cat="build") as t:
-            inst = build_cache.load_instance(key)
+            for size in sizes:
+                keys[size] = build_cache.blocks_key(mesh, target_cells, mesh_seed, size)
+                labels = build_cache.load_blocks(keys[size])
+                if labels is not None:
+                    blocks[size] = labels
+            if k is not None:
+                keys[0] = instance_cache_key(mesh, target_cells, mesh_seed, k)
+                inst = build_cache.load_instance(keys[0])
         phases["cache_s"] += t.elapsed
-        if inst is not None:
-            return inst
-    with obs.timed("instance.mesh", cat="build") as t:
-        m = _mesh_cache(mesh, target_cells, mesh_seed)
-    phases["mesh_s"] = t.elapsed
-    with obs.timed("instance.build", cat="build") as t:
-        inst = build_instance(m, directions_for_mesh(m.dim, k))
-    phases["build_s"] = t.elapsed
-    if key is not None:
-        with obs.timed("instance.cache_store", cat="build") as t:
-            build_cache.store_instance(key, inst)
-        phases["cache_s"] += t.elapsed
-    return inst
+    build = k is not None and inst is None
+    missing = [size for size in sizes if size not in blocks]
+    if build or missing:
+        with obs.timed("instance.mesh", cat="build") as t:
+            m = make_mesh(mesh, target_cells=target_cells, seed=mesh_seed)
+        phases["mesh_s"] = t.elapsed
+        if build:
+            with obs.timed("instance.build", cat="build") as t:
+                inst = build_instance(m, directions_for_mesh(m.dim, k))
+            phases["build_s"] = t.elapsed
+        for size in missing:
+            blocks[size] = partition_mesh_blocks(
+                m.n_cells, m.adjacency, size, seed=mesh_seed
+            )
+        if keys:
+            with obs.timed("instance.cache_store", cat="build") as t:
+                if build:
+                    build_cache.store_instance(keys[0], inst)
+                for size in missing:
+                    build_cache.store_blocks(keys[size], mesh, blocks[size], size)
+            phases["cache_s"] += t.elapsed
+    return inst, {size: blocks[size] for size in sizes}
 
 
-@lru_cache(maxsize=32)
-def _instance_cache(mesh: str, target_cells: int, mesh_seed: int, k: int):
-    return load_or_build_instance(mesh, target_cells, mesh_seed, k)
+#: Per-process LRU memo in front of :func:`load_or_build`, keyed
+#: ``(mesh, target_cells, mesh_seed, "k", k)`` or ``(..., "block", size)``.
+_memo: OrderedDict = OrderedDict()
+_MEMO_ENTRIES = 64
 
 
-@lru_cache(maxsize=64)
-def _blocks_cache(mesh: str, target_cells: int, mesh_seed: int, block_size: int):
-    m = _mesh_cache(mesh, target_cells, mesh_seed)
-    return partition_mesh_blocks(m.n_cells, m.adjacency, block_size, seed=mesh_seed)
+def get_grid_inputs(config: ExperimentConfig, block_sizes) -> tuple:
+    """The config's (memoised) instance and ``{size: labels}``; what the
+    memo lacks comes from one :func:`load_or_build` call (one mesh)."""
+    base = (config.mesh, config.target_cells, config.mesh_seed)
+    keys = {size: (*base, "block", size) for size in block_sizes if size > 1}
+    keys[0] = (*base, "k", config.k)  # slot 0: the instance
+    missing = [size for size, key in keys.items() if key not in _memo]
+    if missing:
+        inst, built = load_or_build(
+            *base, config.k if 0 in missing else None, missing
+        )
+        built[0] = inst
+        _memo.update((keys[size], built[size]) for size in missing)
+    out = {}
+    for size, key in keys.items():
+        _memo.move_to_end(key)
+        out[size] = _memo[key]
+    while len(_memo) > _MEMO_ENTRIES:
+        _memo.popitem(last=False)
+    return out.pop(0), out
 
 
 def clear_caches() -> None:
-    """Drop all memoised meshes/instances/partitions."""
-    _mesh_cache.cache_clear()
-    _instance_cache.cache_clear()
-    _blocks_cache.cache_clear()
+    """Drop every memoised instance and labelling (the disk cache stays)."""
+    _memo.clear()
 
 
 def get_instance(config: ExperimentConfig):
-    """The (memoised) sweep instance of a config."""
-    return _instance_cache(
-        config.mesh, config.target_cells, config.mesh_seed, config.k
-    )
+    """The (memoised) sweep instance of a config; never partitions."""
+    return get_grid_inputs(config, ())[0]
 
 
 def get_blocks(config: ExperimentConfig, block_size: int) -> np.ndarray:
-    """The (memoised) cell→block labelling for one block size."""
-    return _blocks_cache(
-        config.mesh, config.target_cells, config.mesh_seed, block_size
-    )
+    """The (memoised) cell→block labelling for one block size > 1."""
+    return get_grid_inputs(config, (block_size,))[1][block_size]
 
 
 def run_cell_on(
@@ -171,16 +198,18 @@ def run_cell(
     seed,
     with_comm: bool = True,
 ) -> ScheduleSummary:
-    """Run one (algorithm, m, block size, seed) cell of the grid."""
+    """Run one (algorithm, m, block size, seed) cell of the grid; the first
+    cell of a config fetches every labelling the config names."""
+    inst, blocks = get_grid_inputs(config, (*config.block_sizes, block_size))
     return run_cell_on(
-        get_instance(config),
+        inst,
         algorithm,
         m,
         block_size,
         seed,
         with_comm=with_comm,
         engine=config.engine,
-        blocks=get_blocks(config, block_size) if block_size > 1 else None,
+        blocks=blocks.get(block_size),
     )
 
 

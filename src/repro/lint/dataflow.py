@@ -48,10 +48,8 @@ SPAWN_BANNED_NAMES = frozenset({
     "build_instance_batched",
     "get_instance",
     "get_blocks",
-    "load_or_build_instance",
-    "_instance_cache",
-    "_mesh_cache",
-    "_blocks_cache",
+    "get_grid_inputs",
+    "load_or_build",
     "make_mesh",
     "partition_mesh_blocks",
     "run_cell",

@@ -15,10 +15,10 @@ code, when called directly from an ``async def`` body inside
   must use asyncio stream readers/writers);
 * **unguarded instance construction** — ``repro.mesh.make_mesh``,
   ``repro.sweeps.build_instance``, and the runner's ``get_instance`` /
-  ``get_blocks`` / ``load_or_build_instance`` chokepoints build meshes
-  and sweep DAGs for seconds at a time; coroutines must push them
-  through ``loop.run_in_executor`` (the server's registry executor),
-  never call them inline.
+  ``get_blocks`` / ``get_grid_inputs`` / ``load_or_build`` chokepoints
+  build meshes, DAGs and labels for seconds at a time; coroutines must
+  push them through ``loop.run_in_executor`` (the server's registry
+  executor), never call them inline.
 
 Only the *coroutine body proper* is in scope: a call inside a nested
 ``def`` or ``lambda`` (e.g. the thunk handed to ``run_in_executor``)
@@ -66,8 +66,12 @@ _BLOCKING_CALLS = {
         "instance construction blocks; run it through "
         "loop.run_in_executor (the registry executor)"
     ),
-    "repro.experiments.runner.load_or_build_instance": (
-        "instance construction blocks; run it through "
+    "repro.experiments.runner.load_or_build": (
+        "instance construction and partitioning block; run it through "
+        "loop.run_in_executor (the registry executor)"
+    ),
+    "repro.experiments.runner.get_grid_inputs": (
+        "instance construction and partitioning block; run it through "
         "loop.run_in_executor (the registry executor)"
     ),
     "repro.experiments.runner.get_blocks": (

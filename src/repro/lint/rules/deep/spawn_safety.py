@@ -10,7 +10,7 @@ over the whole call graph:
 **No call path may lead from a worker entrypoint (``init_worker``,
 ``run_chunk``) to parent-side construction** — ``warm_instance``, the
 instance/mesh/partition builders, the memoised parent caches
-(``get_instance`` / ``get_blocks`` / ``_instance_cache`` / …), or the
+(``get_instance`` / ``get_blocks`` / ``get_grid_inputs`` / …), or the
 serial drivers (``run_cell``, ``run_grid``).  A worker that reaches any
 of these silently rebuilds hundreds of MB of state per process (the
 exact bug class the spawn-worker refactor removed) or reads

@@ -238,7 +238,7 @@ def run_dispatch(
     from concurrent.futures import FIRST_COMPLETED, wait
 
     from repro import obs
-    from repro.experiments.runner import get_blocks, get_instance
+    from repro.experiments.runner import get_grid_inputs
     from repro.parallel.pool import shared_pool
     from repro.parallel.shm_store import SharedInstanceStore
     from repro.parallel.worker import run_chunk, warm_instance
@@ -255,14 +255,9 @@ def run_dispatch(
                          "oversubscribed": workers > cpu_count,
                          "n_chunks": stats.n_chunks},
     ):
-        inst = get_instance(config)
+        inst, blocks = get_grid_inputs(config, config.block_sizes)
         with obs.timed("grid.warm", cat="parallel") as t_warm:
             warm_instance(inst, config.algorithms)
-            blocks = {
-                size: get_blocks(config, size)
-                for size in config.block_sizes
-                if size > 1
-            }
         stats.warm_s = t_warm.elapsed
         with obs.timed("grid.plan", cat="parallel") as t_plan:
             batches = plan_batches(config, cells=cells)

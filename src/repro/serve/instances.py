@@ -5,14 +5,15 @@ shared memory **once** and then serves thousands of schedule requests.
 This module owns that residency:
 
 * **Identity** — an instance is named by its content key
-  (:func:`repro.cache.instance_key`), the same blake2b digest the
-  on-disk build cache uses, so "resident in the daemon" and "cached on
-  disk" are one identity.
-* **Hydration** — a publish takes the instance from the runner's
-  memoised chokepoint, which consults :mod:`repro.cache` first; a disk
-  hit is adopted zero-copy, only a cold miss pays mesh + DAG
-  construction (which then also seeds the disk cache).  Hit or miss,
-  the instance is warmed for the request's algorithms before publish.
+  (:func:`repro.experiments.runner.instance_cache_key`), the same
+  blake2b digest the on-disk build cache uses, so "resident in the
+  daemon" and "cached on disk" are one identity.
+* **Hydration** — a publish calls the runner's un-memoised
+  :func:`~repro.experiments.runner.load_or_build`: the instance and each
+  block labelling is a :mod:`repro.cache` hit (adopted zero-copy) or is
+  built and stored.  Hit or miss, the instance is warmed for the
+  request's algorithms before publish.  The segment is the only copy
+  kept, so an evicted instance leaves no mesh, instance or labelling.
 * **Pinned LRU eviction** — residency is byte-accounted against a
   budget; eviction walks least-recently-used entries but **never evicts
   an instance with in-flight requests** (``pins > 0``).  A request pins
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro import obs
 from repro.util.errors import ServeError
@@ -39,9 +41,9 @@ __all__ = ["InstanceSpec", "ResidentInstance", "Lease", "InstanceRegistry"]
 DEFAULT_MAX_RESIDENT_BYTES = 512 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """The mesh-derived instance a request runs against."""
+class InstanceSpec(NamedTuple):
+    """The mesh-derived instance a request runs against, in the argument
+    order of :func:`~repro.experiments.runner.load_or_build`."""
 
     mesh: str
     target_cells: int
@@ -51,38 +53,7 @@ class InstanceSpec:
     @classmethod
     def from_payload(cls, payload: dict) -> "InstanceSpec":
         """Build from a validated request's ``instance`` object."""
-        return cls(
-            mesh=payload["mesh"],
-            target_cells=payload["target_cells"],
-            mesh_seed=payload["mesh_seed"],
-            k=payload["k"],
-        )
-
-    def content_key(self) -> str:
-        """The blake2b identity shared with :mod:`repro.cache`."""
-        from repro import cache as build_cache
-        from repro.mesh.generators import mesh_dim
-        from repro.sweeps.dag_builder import DEFAULT_TOL
-        from repro.sweeps.directions import directions_for_mesh
-
-        dirs = directions_for_mesh(mesh_dim(self.mesh), self.k)
-        return build_cache.instance_key(
-            self.mesh, self.target_cells, self.mesh_seed, self.k,
-            DEFAULT_TOL, dirs,
-        )
-
-    def config(self, block_sizes: tuple = (1,)):
-        """An :class:`~repro.experiments.configs.ExperimentConfig` view."""
-        from repro.experiments.configs import ExperimentConfig
-
-        return ExperimentConfig(
-            mesh=self.mesh,
-            target_cells=self.target_cells,
-            mesh_seed=self.mesh_seed,
-            k=self.k,
-            block_sizes=tuple(block_sizes) or (1,),
-            name="serve",
-        )
+        return cls(*(payload[name] for name in cls._fields))
 
 
 class _StoreHandle:
@@ -234,7 +205,9 @@ class InstanceRegistry:
         drain).  Miss: hydrate from the disk cache or build, publish,
         then evict LRU unpinned entries down to the byte budget.
         """
-        key = spec.content_key()
+        from repro.experiments.runner import instance_cache_key
+
+        key = instance_cache_key(*spec)
         needed = tuple(sorted({s for s in block_sizes if s > 1}))
         with self._lock:
             entry = self._entries.get(key)
@@ -250,11 +223,13 @@ class InstanceRegistry:
         return self._publish_new(spec, key, needed, algorithms)
 
     def _publish_new(self, spec, key, block_sizes, algorithms) -> ResidentInstance:
+        from repro.experiments.runner import load_or_build
         from repro.parallel.shm_store import SharedInstanceStore
+        from repro.parallel.worker import warm_instance
 
-        meta, arrays = _load_or_build_arrays(spec, algorithms)
-        blocks = _build_blocks(spec, block_sizes)
-        store = SharedInstanceStore.publish_arrays(meta, arrays, blocks=blocks)
+        inst, blocks = load_or_build(*spec, block_sizes)
+        warm_instance(inst, algorithms)
+        store = SharedInstanceStore.publish(inst, blocks=blocks)
         entry = ResidentInstance(
             key=key, spec=spec, handle=_StoreHandle(store),
             block_sizes=block_sizes,
@@ -282,19 +257,22 @@ class InstanceRegistry:
     def _extend_blocks(self, entry, needed) -> ResidentInstance:
         """Republish ``entry`` with the union of block labellings.
 
-        The instance arrays are copied segment-to-segment (no rebuild);
-        the old segment is retired and closed once its leases drain.
+        Instance arrays and held labellings are copied segment-to-segment
+        (only new sizes are loaded or partitioned); the old segment is
+        retired and closed once its leases drain.
         """
+        from repro.experiments.runner import load_or_build
         from repro.parallel.shm_store import SharedInstanceStore, _views
 
         union = tuple(sorted(set(entry.block_sizes) | set(needed)))
-        blocks = _build_blocks(entry.spec, union)
+        _, blocks = load_or_build(
+            *entry.spec[:3], None, set(needed) - set(entry.block_sizes)
+        )
         old = entry.handle
         manifest = old.manifest
-        views = _views(manifest.specs, old.store._shm.buf, writeable=False)
-        arrays = {
-            k: v for k, v in views.items() if not k.startswith("blocks/")
-        }
+        arrays = _views(manifest.specs, old.store._shm.buf, writeable=False)
+        for size in manifest.block_sizes:
+            blocks[size] = arrays.pop(f"blocks/{size}")
         store = SharedInstanceStore.publish_arrays(
             manifest.meta, arrays, blocks=blocks
         )
@@ -375,33 +353,3 @@ class InstanceRegistry:
             for handle in entry.retired:
                 handle.store.close()
 
-
-def _load_or_build_arrays(spec: InstanceSpec, algorithms: tuple) -> tuple:
-    """The instance wire payload, warmed for ``algorithms``.
-
-    The instance comes from the runner's un-memoised load-or-build (a
-    disk-cache hit or a build that seeds it), so an evicted segment's
-    instance is not kept alive, and is warmed before export, so attached
-    workers inherit the same memo caches on a hit as on a miss.
-    """
-    from repro.experiments import runner
-    from repro.parallel.worker import warm_instance
-
-    inst = runner.load_or_build_instance(
-        spec.mesh, spec.target_cells, spec.mesh_seed, spec.k
-    )
-    warm_instance(inst, algorithms)
-    return inst.export_arrays()
-
-
-def _build_blocks(spec: InstanceSpec, block_sizes: tuple) -> dict | None:
-    """Cell→block labellings for every requested size > 1."""
-    if not block_sizes:
-        return None
-    from repro.experiments import runner
-
-    config = spec.config(block_sizes=block_sizes)
-    return {
-        size: runner.get_blocks(config, size)
-        for size in block_sizes
-    }

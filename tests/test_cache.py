@@ -26,7 +26,7 @@ import pytest
 from repro import cache as build_cache
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments import runner
-from repro.mesh.generators import make_mesh, mesh_dim
+from repro.mesh.generators import make_mesh
 from repro.sweeps import build_instance, directions_for_mesh
 from repro.sweeps.dag_builder import DEFAULT_TOL
 from repro.util.errors import CacheError
@@ -316,28 +316,39 @@ class TestPublishFromCache:
 class TestServePublishHitEqualsMiss:
     def test_hit_payload_equals_miss_payload(self, cache_root):
         """The daemon's publish payload does not depend on whether the
-        instance came from the disk cache: a hit is warmed for the
-        request's algorithms exactly like a miss, so it ships the same
-        union b-levels and descendant counts, byte for byte."""
-        from repro.serve.instances import InstanceSpec, _load_or_build_arrays
+        instance and labels came from the disk cache: a hit is warmed for
+        the request's algorithms exactly like a miss, so it ships the same
+        union b-levels, descendant counts and labels, byte for byte."""
+        from repro.parallel.shm_store import _views
+        from repro.serve.instances import InstanceRegistry, InstanceSpec
 
         spec = InstanceSpec(mesh="tetonly", target_cells=300, mesh_seed=0, k=8)
-        algorithms = ("dfds", "descendant")
-        runner.clear_caches()
-        try:
-            miss_meta, miss = _load_or_build_arrays(spec, algorithms)
-            assert build_cache.COUNTERS["store"] == 1
-            miss = {name: np.array(arr) for name, arr in miss.items()}
-            runner.clear_caches()
-            hit_meta, hit = _load_or_build_arrays(spec, algorithms)
-            assert build_cache.COUNTERS["hit"] == 1
-        finally:
-            runner.clear_caches()
+
+        def publish():
+            registry = InstanceRegistry()
+            try:
+                entry = registry.get_or_publish(
+                    spec, block_sizes=(16,), algorithms=("dfds", "descendant")
+                )
+                manifest = entry.manifest
+                views = _views(manifest.specs, entry.handle.store._shm.buf,
+                               writeable=False)
+                return manifest.meta, {n: np.array(v) for n, v in views.items()}
+            finally:
+                registry.close_all()
+
+        miss_meta, miss = publish()
+        assert build_cache.COUNTERS["store"] == 2  # instance + labels
+        hit_meta, hit = publish()
+        assert build_cache.COUNTERS["hit"] == 2
+        assert build_cache.COUNTERS["blocks.hit"] == 1
+        assert build_cache.COUNTERS["store"] == 2
         assert "union/b_level" in miss and "dag0/desc_exact" in miss
+        assert "blocks/16" in miss
         assert sorted(hit) == sorted(miss)
         for name, arr in miss.items():
             assert hit[name].dtype == arr.dtype, name
-            assert np.asarray(hit[name]).tobytes() == arr.tobytes(), name
+            assert hit[name].tobytes() == arr.tobytes(), name
         assert hit_meta == miss_meta
 
 
@@ -357,6 +368,89 @@ class TestRunnerIntegration:
         _assert_same_instance(first, second)
         runner.clear_caches()
 
+    def test_one_mesh_per_cold_grid_and_none_when_warm(self, cache_root):
+        """A cold grid over block sizes (1, 16, 64) generates its mesh
+        once; a new process epoch neither generates nor partitions, and
+        its rows are byte-identical."""
+        from repro import obs
+
+        config = ExperimentConfig(
+            mesh="tetonly", target_cells=300, k=4, m_values=(4,),
+            block_sizes=(1, 16, 64), seeds=(0, 1),
+            algorithms=("random_delay",), name="memo_probe",
+        )
+
+        def traced_rows():
+            obs.reset()
+            obs.enable_tracing()
+            try:
+                rows = runner.run_grid(config, workers=1)
+                names = [s.name for s in obs.drain_spans()]
+            finally:
+                obs.reset()
+                obs.disable_tracing()
+            return json.dumps(rows, sort_keys=True), names
+
+        runner.clear_caches()
+        try:
+            cold, cold_names = traced_rows()
+            assert cold_names.count("mesh.generate") == 1
+            assert cold_names.count("partition.blocks") == 2
+            runner.clear_caches()  # a new process epoch: disk only
+            warm, warm_names = traced_rows()
+        finally:
+            runner.clear_caches()
+        assert "mesh.generate" not in warm_names
+        assert "partition.blocks" not in warm_names
+        assert build_cache.COUNTERS["blocks.hit"] == 2
+        assert warm == cold
+
+    def test_labels_are_shared_across_k(self, cache_root):
+        _, first = runner.load_or_build("tetonly", 300, 0, 24, (16,))
+        assert build_cache.COUNTERS["blocks.miss"] == 1
+        inst, second = runner.load_or_build("tetonly", 300, 0, 8, (16,))
+        assert inst.k == 8
+        assert build_cache.COUNTERS["blocks.hit"] == 1
+        assert second[16].tobytes() == first[16].tobytes()
+
+    def test_get_instance_never_partitions(self, cache_root):
+        config = ExperimentConfig(
+            mesh="tetonly", target_cells=120, k=4, block_sizes=(1, 16),
+            name="memo_probe",
+        )
+        runner.clear_caches()
+        try:
+            runner.get_instance(config)
+            assert build_cache.COUNTERS["blocks.miss"] == 0
+            assert build_cache.COUNTERS["store"] == 1
+        finally:
+            runner.clear_caches()
+
+    def test_figure_processes_print_the_same_text(self, cache_root):
+        """Two ``repro figures fig2a`` processes under one cache dir: the
+        second partitions nothing and prints the same figure."""
+        env = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
+        outputs = []
+        for run in ("cold", "warm"):
+            trace = cache_root.parent / f"{run}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "figures", "fig2a",
+                 "--cells", "600", "--trace", str(trace)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([line for line in proc.stdout.splitlines()
+                            if not line.startswith("wrote trace")])
+            payload = json.loads(trace.read_text())
+            names = {e.get("name") for e in payload["traceEvents"]}
+            counters = payload["otherData"]["metrics"]["counters"]
+            if run == "cold":
+                assert "partition.blocks" in names
+            else:
+                assert "partition.blocks" not in names
+                assert counters.get("cache.blocks.hit", 0) > 0
+        assert outputs[0] == outputs[1]
+
 
 class TestCacheCLI:
     def _cli(self, *argv):
@@ -375,8 +469,11 @@ class TestCacheCLI:
         assert self._cli("cache", "stats", "--dir", str(cache_root)) == 0
         out = capsys.readouterr().out
         assert "entries" in out and "no corrupt" in out
+        _, blocks = runner.load_or_build("tetonly", 120, 0, None, (16,))
         assert self._cli("cache", "ls", "--dir", str(cache_root)) == 0
-        assert key in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert key in out and "tetonly_like_k4 n=" in out
+        assert f"tetonly n={len(blocks[16])} block=16" in out
         assert self._cli("cache", "clear", "--dir", str(cache_root)) == 0
         assert build_cache.list_entries() == []
 

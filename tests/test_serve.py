@@ -198,33 +198,44 @@ class TestRegistry:
         assert list_orphan_segments() == []
 
     def test_evicted_instances_are_not_retained(self, monkeypatch):
-        # The registry's byte budget is the daemon's memory bound: an
-        # evicted instance must not live on in a process-wide memo.
+        # The registry's byte budget is the daemon's memory bound: no
+        # mesh, instance or labelling a publish built may outlive the
+        # publish in a process-wide memo — the segment is the only copy.
         import gc
         import weakref
 
         from repro.experiments import runner
-        from repro.parallel import worker
 
-        runner.clear_caches()
         refs = []
-        real_warm = worker.warm_instance
 
-        def tracking_warm(inst, algorithms):
-            refs.append(weakref.ref(inst))
-            return real_warm(inst, algorithms)
+        def tracking(build):
+            def wrapper(*args, **kwargs):
+                product = build(*args, **kwargs)
+                refs.append((build.__name__, weakref.ref(product)))
+                return product
+            return wrapper
 
-        monkeypatch.setattr(worker, "warm_instance", tracking_warm)
+        for name in ("make_mesh", "build_instance", "partition_mesh_blocks"):
+            monkeypatch.setattr(runner, name, tracking(getattr(runner, name)))
+        runner.clear_caches()
         registry = InstanceRegistry(max_bytes=1)
         try:
             for seed in range(4):
-                registry.get_or_publish(_spec(seed), algorithms=("dfds",))
+                spec = InstanceSpec(
+                    mesh="tetonly", target_cells=600, mesh_seed=seed, k=4
+                )
+                registry.get_or_publish(
+                    spec, block_sizes=(16,), algorithms=("dfds",)
+                )
             assert len(registry.snapshot()["instances"]) == 1
             assert registry.counters["evictions"] == 3
-            assert runner._instance_cache.cache_info().currsize == 0
             gc.collect()
-            assert len(refs) == 4
-            assert all(ref() is None for ref in refs)
+            built = sorted(name for name, _ in refs)
+            assert built == sorted(
+                ["make_mesh", "build_instance", "partition_mesh_blocks"] * 4
+            )
+            alive = sorted(name for name, ref in refs if ref() is not None)
+            assert alive == []
         finally:
             registry.close_all()
             runner.clear_caches()
@@ -349,11 +360,10 @@ class TestDaemonBattery:
         # Bit-identity against the serial runner: fold the daemon's
         # per-cell summaries (request order == the canonical grid_cells
         # order) through the same row aggregation run_grid uses.
-        from dataclasses import replace
+        from repro.experiments.configs import ExperimentConfig
 
-        spec = InstanceSpec.from_payload(INSTANCE)
-        config = replace(
-            spec.config(), algorithms=algorithms, m_values=(4,), seeds=seeds,
+        config = ExperimentConfig(
+            **INSTANCE, algorithms=algorithms, m_values=(4,), seeds=seeds,
         )
         clear_caches()
         rows = run_grid(config, with_comm=True)
