@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,6 +95,12 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "figures", "fig2a", "--cells", "250")
         assert code == 0
         assert "Fig 2(a)" in out
+
+    def test_figures_all_matches_golden(self, capsys):
+        golden = Path(__file__).parent / "goldens" / "figures_cells300.txt"
+        code, out, _ = run(capsys, "figures", "all", "--cells", "300")
+        assert code == 0
+        assert out == golden.read_text()
 
     def test_compare(self, capsys):
         code, out, _ = run(
