@@ -5,13 +5,14 @@ per cell) increases the makespan only modestly.
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper, pick
+from repro.experiments import pick, run_figure
 
 
 def test_fig2a_makespan(benchmark, show):
     rows, text = run_once(
         benchmark,
-        paper.fig2a,
+        run_figure,
+        "fig2a",
         target_cells=BENCH_CELLS,
         m_values=(2, 4, 8, 16, 32),
         block_sizes=(1, 16, 64),

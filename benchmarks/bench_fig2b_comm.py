@@ -6,13 +6,14 @@ moves under blocking.
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper, pick
+from repro.experiments import pick, run_figure
 
 
 def test_fig2b_comm(benchmark, show):
     rows, text = run_once(
         benchmark,
-        paper.fig2b,
+        run_figure,
+        "fig2b",
         target_cells=BENCH_CELLS,
         m_values=(2, 4, 8, 16, 32),
         block_sizes=(1, 16, 64),

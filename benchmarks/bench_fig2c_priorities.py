@@ -6,14 +6,15 @@ algorithm, by up to ~4x at high processor counts; makespan stays within
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper, pick
+from repro.experiments import pick, run_figure
 
 
 def test_fig2c_priorities(benchmark, show):
     m_values = (8, 16, 32, 64, 128)
     rows, text = run_once(
         benchmark,
-        paper.fig2c,
+        run_figure,
+        "fig2c",
         target_cells=BENCH_CELLS,
         m_values=m_values,
         k_values=(8, 24),

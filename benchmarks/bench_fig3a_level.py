@@ -5,14 +5,15 @@ improve the makespan at higher processor counts.
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper, pick
+from repro.experiments import pick, run_figure
 
 
 def test_fig3a_level(benchmark, show):
     m_values = (4, 8, 16, 32, 64)
     rows, text = run_once(
         benchmark,
-        paper.fig3a,
+        run_figure,
+        "fig3a",
         target_cells=BENCH_CELLS,
         m_values=m_values,
         k_values=(8, 24),

@@ -6,14 +6,15 @@ descendant heuristic helps at very high m / few directions.
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper, pick
+from repro.experiments import pick, run_figure
 
 
 def test_fig3b_descendant(benchmark, show):
     m_values = (4, 8, 16, 32, 64)
     rows, text = run_once(
         benchmark,
-        paper.fig3b,
+        run_figure,
+        "fig3b",
         target_cells=BENCH_CELLS,
         m_values=m_values,
         k_values=(8, 24),
@@ -40,12 +41,13 @@ def test_fig3b_percell_separation(benchmark, show):
     directions — reappears under per-cell assignment."""
     rows, text = run_once(
         benchmark,
-        paper.fig3b,
+        run_figure,
+        "fig3b",
         target_cells=BENCH_CELLS,
         m_values=(16, 64),
         k_values=(8,),
         seeds=BENCH_SEEDS,
-        block_size=1,
+        block_sizes=(1,),
     )
     show(text)
     desc = pick(rows, m=64, k=8, algorithm="descendant")[0]["ratio"]

@@ -17,7 +17,7 @@ Runs outside that regime are still printed for inspection.
 """
 
 from benchmarks.conftest import BENCH_CELLS, BENCH_SEEDS, run_once
-from repro.experiments import paper
+from repro.experiments import run_figure
 from repro.experiments.runner import get_instance
 from repro.experiments.configs import ExperimentConfig
 
@@ -25,7 +25,8 @@ from repro.experiments.configs import ExperimentConfig
 def test_headline_3nkm(benchmark, show):
     rows, text = run_once(
         benchmark,
-        paper.headline_bounds,
+        run_figure,
+        "headline",
         target_cells=BENCH_CELLS,
         meshes=("tetonly", "well_logging", "long", "prismtet"),
         m_values=(4, 16, 64, 128),

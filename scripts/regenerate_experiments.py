@@ -25,21 +25,12 @@ def main(argv=None) -> int:
     os.environ["REPRO_BENCH_CELLS"] = str(args.cells)
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
-    from repro.experiments import paper
+    from repro.experiments import FIGURES, run_figure
     from repro.util.timing import now
 
-    figures = [
-        ("Fig 2(a)", lambda: paper.fig2a(target_cells=args.cells)),
-        ("Fig 2(b)", lambda: paper.fig2b(target_cells=args.cells)),
-        ("Fig 2(c)", lambda: paper.fig2c(target_cells=args.cells)),
-        ("Fig 3(a)", lambda: paper.fig3a(target_cells=args.cells)),
-        ("Fig 3(b)", lambda: paper.fig3b(target_cells=args.cells)),
-        ("Fig 3(c)", lambda: paper.fig3c(target_cells=args.cells)),
-        ("Headline", lambda: paper.headline_bounds(target_cells=args.cells)),
-    ]
-    for name, fn in figures:
+    for name in FIGURES:
         t0 = now()
-        _rows, text = fn()
+        _rows, text = run_figure(name, target_cells=args.cells)
         print(text)
         print(f"[{name}: {now() - t0:.1f}s]\n")
 

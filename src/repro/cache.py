@@ -28,9 +28,10 @@ Design contract
   :data:`DEFAULT_MAX_MB`); loads touch ``mtime`` so hot entries stay.
 
 Session counters (:data:`COUNTERS` — hit/miss/store/evict, blocks.hit/
-blocks.miss) are plain ints so CI can assert a warm rerun actually hit
+blocks.miss) are plain per-process ints the runner and tests read
 without enabling tracing; the same events are mirrored onto the
-:mod:`repro.obs` metrics plane (``cache.blocks.hit`` etc.) when tracing is on.
+:mod:`repro.obs` metrics plane (``cache.blocks.hit`` etc.) when tracing
+is on, so a run's own ``--trace`` is where its hits are read from.
 
 Crash injection (test hook)
 ---------------------------
@@ -485,7 +486,7 @@ def list_corrupt_entries() -> list[str]:
 
 
 def cache_stats() -> dict:
-    """One status dict: directory, entry census, bound, session counters."""
+    """One status dict: directory, entry census, bound, corrupt entries."""
     root = cache_dir()
     entries = list_entries()
     return {
@@ -495,7 +496,6 @@ def cache_stats() -> dict:
         "total_bytes": int(sum(e["bytes"] for e in entries)),
         "max_bytes": _max_bytes(),
         "corrupt": list_corrupt_entries(),
-        "counters": dict(COUNTERS),
     }
 
 

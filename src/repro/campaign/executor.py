@@ -100,7 +100,6 @@ def group_config(cells, spec: CampaignSpec, workers: int = 1):
         seeds=tuple(sorted({c.seed for c in cells})),
         engine=spec.engine,
         workers=workers,
-        name=spec.name,
     )
 
 

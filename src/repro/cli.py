@@ -33,7 +33,7 @@ import numpy as np
 from repro.analysis import gantt_text, summarize_schedule
 from repro.comm import CommModel, estimate_wall_clock
 from repro.core import block_assignment
-from repro.experiments import paper
+from repro.experiments.paper import FIGURES, run_figure
 from repro.heuristics import algorithm_names, get_algorithm
 from repro.mesh import MESH_GENERATORS, make_mesh, save_mesh
 from repro.partition import balance, block_sizes, edge_cut, partition_mesh_blocks
@@ -42,16 +42,6 @@ from repro.transport import Quadrature, TransportProblem, solve_with_schedule
 from repro.util.errors import ReproError
 
 __all__ = ["main", "build_parser"]
-
-_FIGURES = {
-    "fig2a": paper.fig2a,
-    "fig2b": paper.fig2b,
-    "fig2c": paper.fig2c,
-    "fig3a": paper.fig3a,
-    "fig3b": paper.fig3b,
-    "fig3c": paper.fig3c,
-    "headline": paper.headline_bounds,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,8 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="regenerate paper figures")
     p.add_argument("which", nargs="?", default="all",
-                   choices=["all"] + sorted(_FIGURES))
-    p.add_argument("--cells", type=int, default=2000)
+                   choices=["all"] + sorted(FIGURES))
+    p.add_argument("--scale", default="default", choices=["default", "paper"],
+                   help="default: 2000-cell meshes; paper: the paper's "
+                        "31k-118k-cell meshes and block sizes")
+    p.add_argument("--cells", type=int, default=None,
+                   help="target cell count (default: the scale's own)")
     p.add_argument("--workers", type=int, default=1,
                    help="processes per experiment grid (0 = one per CPU); "
                         "output is bit-identical for any value")
@@ -448,9 +442,10 @@ def _write_trace(path: str | None) -> None:
 
 def _cmd_figures(args) -> int:
     _start_trace(args.trace)
-    names = sorted(_FIGURES) if args.which == "all" else [args.which]
+    names = sorted(FIGURES) if args.which == "all" else [args.which]
+    cells = {} if args.cells is None else {"target_cells": args.cells}
     for name in names:
-        rows, text = _FIGURES[name](target_cells=args.cells, workers=args.workers)
+        rows, text = run_figure(name, args.scale, args.workers, **cells)
         print(text)
         if args.chart and rows and "series" in rows[0]:
             from repro.experiments import ascii_chart
@@ -718,7 +713,6 @@ def _cmd_trace(args) -> int:
         block_sizes=(1,),
         algorithms=("random_delay_priority",),
         seeds=(args.seed, args.seed + 1),
-        name="trace",
     )
     obs.enable_tracing()
     obs.reset()
@@ -945,7 +939,6 @@ def _cmd_cache(args) -> int:
         print(f"entries: {stats['entries']} "
               f"({stats['total_bytes'] / 1e6:.1f} MB of "
               f"{stats['max_bytes'] / 1e6:.1f} MB)")
-        print(f"counters: {stats['counters']}")
         if stats["corrupt"]:
             # The cache analogue of list_orphan_segments: corrupt entries
             # or stray tmp files mean a writer died outside the atomic

@@ -1,6 +1,6 @@
 """Experiment harness: configs, grid runner, reporting, figure drivers."""
 
-from repro.experiments.configs import ExperimentConfig, scaled
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import (
     run_cell,
     run_grid,
@@ -11,12 +11,12 @@ from repro.experiments.runner import (
 from repro.experiments.report import format_table, format_series, pick
 from repro.experiments.ascii_plot import ascii_chart
 from repro.experiments.export import rows_to_csv, rows_to_json, load_rows_json
-from repro.experiments.presets import CI_SCALE, PAPER_SCALE, get_preset
+from repro.experiments.presets import CI_SCALE
 from repro.experiments import paper
+from repro.experiments.paper import FIGURES, run_figure
 
 __all__ = [
     "ExperimentConfig",
-    "scaled",
     "run_cell",
     "run_grid",
     "get_instance",
@@ -30,7 +30,7 @@ __all__ = [
     "rows_to_json",
     "load_rows_json",
     "CI_SCALE",
-    "PAPER_SCALE",
-    "get_preset",
     "paper",
+    "FIGURES",
+    "run_figure",
 ]

@@ -363,7 +363,6 @@ def serve_bench(
         algorithms=(algorithm,),
         seeds=tuple(seeds),
         mesh_seed=instance["mesh_seed"],
-        name="serve_bench",
     )
     serial = [
         run_cell(config, algorithm, m, 1, seed).as_dict() for seed in seeds
@@ -388,7 +387,7 @@ def serve_bench(
         f"target_cells={instance['target_cells']}, k={instance['k']}, "
         f"m_values=({m},), block_sizes=(1,), "
         f"algorithms=({algorithm!r},), seeds=(0,), "
-        f"mesh_seed={instance['mesh_seed']}, name='serve_cold')\n"
+        f"mesh_seed={instance['mesh_seed']})\n"
         f"print(run_cell(config, {algorithm!r}, {m}, 1, 0).makespan)\n"
     )
     with obs.timed("bench.serve_cold", cat="bench") as t_cold:
@@ -634,7 +633,6 @@ def grid_bench_config(smoke: bool = False, cells: int | None = None):
             block_sizes=(1,),
             algorithms=("random_delay_priority",),
             seeds=(0, 1),
-            name="bench_grid",
         )
     return ExperimentConfig(
         mesh="tetonly",
@@ -644,7 +642,6 @@ def grid_bench_config(smoke: bool = False, cells: int | None = None):
         block_sizes=(1, 16),
         algorithms=("random_delay_priority", "dfds"),
         seeds=(0, 1, 2),
-        name="bench_grid",
     )
 
 

@@ -9,9 +9,9 @@ they run in seconds; pass larger ``target_cells`` to approach the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-__all__ = ["ExperimentConfig", "scaled"]
+__all__ = ["ExperimentConfig"]
 
 #: Processor counts mirroring the paper's sweep (it goes to 128–512).
 DEFAULT_M_VALUES = (2, 4, 8, 16, 32, 64, 128)
@@ -62,10 +62,5 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2)
     mesh_seed: int = 0
     engine: str = "auto"
-    name: str = "experiment"
     workers: int = 1
 
-
-def scaled(config: ExperimentConfig, factor: float) -> ExperimentConfig:
-    """Scale a config's mesh size by ``factor`` (for quick CI runs)."""
-    return replace(config, target_cells=max(64, int(config.target_cells * factor)))

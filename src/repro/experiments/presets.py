@@ -1,17 +1,15 @@
-"""Named experiment presets, including paper-scale configurations.
+"""Fixed experiment grids that other tools run as inputs.
 
-``PAPER_SCALE`` mirrors the evaluation section's actual setups: the real
-mesh sizes (31k–118k cells), the paper's block sizes, and processor
-counts to 512.  At these sizes a full grid takes minutes (pure Python),
-so they are exposed as presets for deliberate runs rather than CI
-defaults — `scripts/run_full_scale.py` drives them.
+``CI_SCALE["fig2c"]`` is a small Fig. 2(c) grid; the frozen perfbench
+``figures_par`` workload runs it, so its values must not change.  The
+paper figures themselves live in :data:`repro.experiments.paper.FIGURES`.
 """
 
 from __future__ import annotations
 
 from repro.experiments.configs import ExperimentConfig
 
-__all__ = ["CI_SCALE", "PAPER_SCALE", "get_preset"]
+__all__ = ["CI_SCALE"]
 
 #: Fast grids used by tests and default benchmarks.
 CI_SCALE: dict[str, ExperimentConfig] = {
@@ -22,57 +20,5 @@ CI_SCALE: dict[str, ExperimentConfig] = {
         m_values=(8, 32, 128),
         algorithms=("random_delay", "random_delay_priority"),
         seeds=(0, 1),
-        name="fig2c-ci",
     ),
 }
-
-#: The paper's own scales.  Cell counts follow Section 5's meshes;
-#: block sizes are the paper's 64/128/256.
-PAPER_SCALE: dict[str, ExperimentConfig] = {
-    "fig2a": ExperimentConfig(
-        mesh="tetonly",
-        target_cells=31481,
-        k=24,
-        m_values=(2, 8, 32, 128),
-        block_sizes=(1, 64, 256),
-        algorithms=("random_delay",),
-        seeds=(0,),
-        name="fig2a-paper",
-    ),
-    "fig2c": ExperimentConfig(
-        mesh="long",
-        target_cells=61737,
-        k=8,
-        m_values=(32, 128, 512),
-        algorithms=("random_delay", "random_delay_priority"),
-        seeds=(0,),
-        name="fig2c-paper",
-    ),
-    "fig3c": ExperimentConfig(
-        mesh="well_logging",
-        target_cells=43012,
-        k=8,
-        m_values=(32, 128),
-        block_sizes=(128,),
-        algorithms=("random_delay_priority", "dfds", "dfds_delays"),
-        seeds=(0,),
-        name="fig3c-paper",
-    ),
-    "headline": ExperimentConfig(
-        mesh="prismtet",
-        target_cells=118211,
-        k=8,
-        m_values=(128,),
-        algorithms=("random_delay_priority",),
-        seeds=(0,),
-        name="headline-paper",
-    ),
-}
-
-
-def get_preset(scale: str, name: str) -> ExperimentConfig:
-    """Look up a preset by scale ("ci" or "paper") and figure name."""
-    table = CI_SCALE if scale == "ci" else PAPER_SCALE
-    if name not in table:
-        raise KeyError(f"no {scale} preset named {name!r}; known: {sorted(table)}")
-    return table[name]

@@ -356,7 +356,7 @@ class TestRunnerIntegration:
     def test_grid_runner_hits_on_second_process_epoch(self, cache_root):
         config = ExperimentConfig(
             mesh="tetonly", target_cells=120, k=4, m_values=(2,),
-            seeds=(0,), name="cache_probe",
+            seeds=(0,),
         )
         runner.clear_caches()
         first = runner.get_instance(config)
@@ -377,7 +377,7 @@ class TestRunnerIntegration:
         config = ExperimentConfig(
             mesh="tetonly", target_cells=300, k=4, m_values=(4,),
             block_sizes=(1, 16, 64), seeds=(0, 1),
-            algorithms=("random_delay",), name="memo_probe",
+            algorithms=("random_delay",),
         )
 
         def traced_rows():
@@ -416,7 +416,6 @@ class TestRunnerIntegration:
     def test_get_instance_never_partitions(self, cache_root):
         config = ExperimentConfig(
             mesh="tetonly", target_cells=120, k=4, block_sizes=(1, 16),
-            name="memo_probe",
         )
         runner.clear_caches()
         try:
@@ -469,6 +468,9 @@ class TestCacheCLI:
         assert self._cli("cache", "stats", "--dir", str(cache_root)) == 0
         out = capsys.readouterr().out
         assert "entries" in out and "no corrupt" in out
+        # Hit/miss counters are per-process; a run's hits are the
+        # ``cache.*`` counters of its own trace, so stats prints none.
+        assert "counters" not in out
         _, blocks = runner.load_or_build("tetonly", 120, 0, None, (16,))
         assert self._cli("cache", "ls", "--dir", str(cache_root)) == 0
         out = capsys.readouterr().out

@@ -11,10 +11,9 @@ from repro.experiments import (
     get_instance,
     pick,
     run_cell,
+    run_figure,
     run_grid,
-    scaled,
 )
-from repro.experiments import paper
 
 FAST = dict(
     mesh="square2d",
@@ -32,14 +31,6 @@ class TestConfig:
         c = ExperimentConfig()
         assert c.mesh == "tetonly"
         assert 128 in c.m_values
-
-    def test_scaled(self):
-        c = scaled(ExperimentConfig(target_cells=2000), 0.5)
-        assert c.target_cells == 1000
-
-    def test_scaled_floor(self):
-        c = scaled(ExperimentConfig(target_cells=100), 0.01)
-        assert c.target_cells == 64
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -153,17 +144,17 @@ class TestReport:
 
 @pytest.mark.slow
 class TestPaperDrivers:
-    """Smoke-run every figure driver at miniature scale."""
+    """Smoke-run every figure row at miniature scale."""
 
     def test_fig2a(self):
-        rows, text = paper.fig2a(target_cells=250, m_values=(2, 4),
-                                 block_sizes=(1, 8), seeds=(0,))
+        rows, text = run_figure("fig2a", target_cells=250, m_values=(2, 4),
+                                block_sizes=(1, 8), seeds=(0,))
         assert "Fig 2(a)" in text
         assert len(rows) == 4
 
     def test_fig2b(self):
-        rows, text = paper.fig2b(target_cells=250, m_values=(2, 4),
-                                 block_sizes=(1, 8), seeds=(0,))
+        rows, text = run_figure("fig2b", target_cells=250, m_values=(2, 4),
+                                block_sizes=(1, 8), seeds=(0,))
         assert "C1" in text and "C2" in text
         # Block partitioning cuts C1 at every m.
         for m in (2, 4):
@@ -172,8 +163,8 @@ class TestPaperDrivers:
             assert block["c1"] < cell["c1"]
 
     def test_fig2c(self):
-        rows, text = paper.fig2c(target_cells=250, m_values=(4, 16),
-                                 k_values=(4,), seeds=(0,))
+        rows, text = run_figure("fig2c", target_cells=250, m_values=(4, 16),
+                                k_values=(4,), seeds=(0,))
         assert "Fig 2(c)" in text
         # Priorities never lose to plain random delay at any m.
         for m in (4, 16):
@@ -182,27 +173,27 @@ class TestPaperDrivers:
             assert prio["ratio"] <= plain["ratio"]
 
     def test_fig3a(self):
-        rows, text = paper.fig3a(target_cells=250, m_values=(2, 4),
-                                 k_values=(4,), seeds=(0,), block_size=8)
+        rows, text = run_figure("fig3a", target_cells=250, m_values=(2, 4),
+                                k_values=(4,), seeds=(0,), block_sizes=(8,))
         assert len(rows) == 4
 
     def test_fig3b(self):
-        rows, _ = paper.fig3b(target_cells=250, m_values=(2,),
-                              k_values=(4,), seeds=(0,), block_size=8)
+        rows, _ = run_figure("fig3b", target_cells=250, m_values=(2,),
+                             k_values=(4,), seeds=(0,), block_sizes=(8,))
         assert {r["algorithm"] for r in rows} == {
             "random_delay_priority", "descendant", "descendant_delays"
         }
 
     def test_fig3c(self):
-        rows, _ = paper.fig3c(target_cells=250, m_values=(2,),
-                              k_values=(4,), seeds=(0,), block_size=8)
+        rows, _ = run_figure("fig3c", target_cells=250, m_values=(2,),
+                             k_values=(4,), seeds=(0,), block_sizes=(8,))
         assert {r["algorithm"] for r in rows} == {
             "random_delay_priority", "dfds", "dfds_delays"
         }
 
     def test_headline(self):
-        rows, text = paper.headline_bounds(
-            target_cells=250, meshes=("tetonly",), m_values=(4,),
+        rows, text = run_figure(
+            "headline", target_cells=250, meshes=("tetonly",), m_values=(4,),
             k_values=(8,), seeds=(0,),
         )
         assert "within_3x" in text

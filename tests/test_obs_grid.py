@@ -28,7 +28,7 @@ TRACE_CONFIG = ExperimentConfig(
     mesh="tetonly", target_cells=250, k=4,
     m_values=(8,), block_sizes=(1,),
     algorithms=("random_delay_priority",),
-    seeds=(0, 1, 2, 3), name="obs-grid",
+    seeds=(0, 1, 2, 3),
 )
 
 

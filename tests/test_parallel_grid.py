@@ -43,13 +43,13 @@ PRESET_COMM = ExperimentConfig(
     mesh="tetonly", target_cells=250, k=4,
     m_values=(4, 16), block_sizes=(1, 8),
     algorithms=("random_delay_priority",),
-    seeds=(0, 1), name="grid-comm",
+    seeds=(0, 1),
 )
 PRESET_PRIORITY = ExperimentConfig(
     mesh="long", target_cells=250, k=4,
     m_values=(8,), block_sizes=(1,),
     algorithms=("dfds", "descendant_delays"),
-    seeds=(0, 1, 2), name="grid-priority",
+    seeds=(0, 1, 2),
 )
 
 
@@ -121,7 +121,7 @@ class TestLeaks:
         crash = ExperimentConfig(
             mesh="square2d", target_cells=120, k=2,
             m_values=(4,), algorithms=("no_such_algorithm",),
-            seeds=(0, 1), name="grid-crash",
+            seeds=(0, 1),
         )
         with pytest.raises(ReproError, match="unknown algorithm"):
             run_grid(crash, workers=2)
@@ -214,7 +214,7 @@ class TestResidentPool:
 
             config = ExperimentConfig(
                 mesh="square2d", target_cells=120, k=2, m_values=(4,),
-                algorithms=("fifo",), seeds=(0, 1), name="tracker-stop",
+                algorithms=("fifo",), seeds=(0, 1),
             )
             run_grid(config, workers=2)
             resource_tracker._resource_tracker._stop()
@@ -270,7 +270,7 @@ class TestChunkPlanning:
     CONFIG = ExperimentConfig(
         m_values=(2, 4, 8), block_sizes=(1, 8, 32),
         algorithms=("random_delay", "level"),
-        seeds=(0, 1, 2), name="plan",
+        seeds=(0, 1, 2),
     )
 
     def test_grid_cells_is_row_major_and_indexed(self):
@@ -337,7 +337,7 @@ class TestKeyedAggregationFailsLoudly:
 
     CONFIG = ExperimentConfig(
         mesh="square2d", target_cells=120, k=2, m_values=(4,),
-        algorithms=("fifo",), seeds=(0, 1), workers=2, name="keyed",
+        algorithms=("fifo",), seeds=(0, 1), workers=2,
     )
 
     def _run_with_fake_dispatch(self, monkeypatch, fake):

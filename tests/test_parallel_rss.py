@@ -37,7 +37,7 @@ def _grid_config(
         mesh="tetonly", target_cells=250, k=4,
         m_values=(8,), block_sizes=(1,),
         algorithms=algorithms,
-        seeds=(0, 1, 2, 3), name=f"rss-grid-{engine}",
+        seeds=(0, 1, 2, 3),
         engine=engine,
     )
 

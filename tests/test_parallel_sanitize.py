@@ -30,7 +30,7 @@ from repro.util.errors import SanitizerError
 
 TINY = ExperimentConfig(
     mesh="square2d", target_cells=120, k=4,
-    block_sizes=(1, 8), name="sanitize-test",
+    block_sizes=(1, 8),
 )
 
 

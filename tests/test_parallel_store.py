@@ -25,7 +25,7 @@ from repro.util.errors import InvalidInstanceError
 
 TINY = ExperimentConfig(
     mesh="square2d", target_cells=120, k=4,
-    block_sizes=(1, 8), name="store-test",
+    block_sizes=(1, 8),
 )
 
 

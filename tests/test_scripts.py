@@ -1,5 +1,6 @@
 """Smoke tests for the repository scripts."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,15 +27,18 @@ class TestScripts:
                        "E16 latency", "E18 hetero costs"):
             assert marker in out.stdout
 
-    def test_run_full_scale_single_small(self):
-        """The full-scale driver accepts a single preset (we shrink the
-        work by patching nothing — fig2c at paper scale runs in ~5 s)."""
+    def test_figures_paper_scale_fig2c(self):
+        """``repro figures --scale paper`` runs a figure at the paper's
+        mesh size (fig2c: ~61k cells, about 5 s)."""
         out = subprocess.run(
-            [sys.executable, "scripts/run_full_scale.py", "fig2c"],
+            [sys.executable, "-m", "repro", "figures", "fig2c",
+             "--scale", "paper"],
             cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             capture_output=True,
             text=True,
             timeout=600,
         )
         assert out.returncode == 0, out.stderr[-2000:]
-        assert "ratio to nk/m" in out.stdout
+        assert "Fig 2(c)" in out.stdout
+        assert "\n512 " in out.stdout  # the paper-scale m sweep
