@@ -178,14 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mesh cell count (default $REPRO_BENCH_CELLS or 2000)")
     p.add_argument("--repeats", type=int, default=None,
                    help="timing repeats per engine (best-of; default 5, 1 in smoke)")
-    p.add_argument("--grid-workers", type=int, nargs="*", default=None,
-                   metavar="W",
-                   help="worker counts for the grid family "
-                        "(default 1 2 4, or 1 2 in smoke)")
     p.add_argument("--families", default=None, metavar="FAM[,FAM...]",
                    help="comma-separated case-family subset (e.g. "
                         "'chain,mesh_large'); writes a partial report "
-                        "without the grid/construction sections")
+                        "without the construction section")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
                    help="output JSON path (default BENCH_<schema>.json; '-' for stdout)")
@@ -625,9 +621,7 @@ def _cmd_bench(args) -> int:
     try:
         report = run_bench(
             smoke=args.smoke, cells=args.cells, repeats=args.repeats,
-            seed=args.seed,
-            grid_workers=tuple(args.grid_workers) if args.grid_workers else None,
-            families=families,
+            seed=args.seed, families=families,
         )
     except ValueError as exc:  # e.g. an unknown --families name
         print(f"error: {exc}", file=sys.stderr)
@@ -647,16 +641,6 @@ def _cmd_bench(args) -> int:
             f"build {build_ms:7.1f}ms {cols} "
             f"speedup x{case['speedup']:.2f} auto={case['auto_engine']}"
         )
-    if report["grid"] is not None:
-        for run in report["grid"]["runs"]:
-            same = "ok" if run["identical_to_serial"] else "DIFFERS"
-            print(
-                f"grid workers={run['workers']:2d} "
-                f"{run['wall_time_s'] * 1e3:8.1f}ms "
-                f"{run['rows_per_sec']:8.2f} rows/s "
-                f"chunks={run['n_chunks']:3d} "
-                f"worker-rss {run['peak_worker_rss_mb']:7.1f}MiB rows {same}"
-            )
     if report["construction"] is not None:
         c = report["construction"]
         ident = "ok" if c["byte_identical"] else "DIFFERS"
@@ -665,24 +649,6 @@ def _cmd_bench(args) -> int:
             f"cold {c['cold_s'] * 1e3:8.1f}ms warm {c['warm_s'] * 1e3:8.1f}ms "
             f"x{c['speedup']:.1f} hits={c['cache_hits']} arrays {ident}"
         )
-    if report.get("serve") is not None:
-        s = report["serve"]
-        print(
-            f"serve cold one-shot {s['cold']['wall_time_s'] * 1e3:8.1f}ms "
-            f"warm-vs-cold x{s['warm_vs_cold_speedup']:.1f}"
-        )
-        for run in s["runs"]:
-            same = "ok" if run["identical_to_serial"] else "DIFFERS"
-            drain = "clean" if run["clean_exit"] else "DIRTY"
-            print(
-                f"serve workers={run['workers']:2d} "
-                f"p50 {run['warm_p50_ms']:7.1f}ms "
-                f"p95 {run['warm_p95_ms']:7.1f}ms "
-                f"unbatched {run['unbatched_requests_per_sec']:7.1f} req/s "
-                f"batched {run['batched_requests_per_sec']:7.1f} req/s "
-                f"chunks={run['chunks_dispatched']:3d} "
-                f"rows {same} drain {drain}"
-            )
     print(gate_table(report))
     problems = validate_bench(report)
     out = args.out or f"BENCH_{BENCH_SCHEMA_VERSION}.json"

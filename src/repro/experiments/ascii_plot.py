@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.experiments.report import _natural_key
 from repro.util.errors import ReproError
 
 __all__ = ["ascii_chart"]
@@ -41,7 +42,7 @@ def ascii_chart(
     if width < 10 or height < 4:
         raise ReproError("chart needs width >= 10 and height >= 4")
     xs = sorted({r[x] for r in rows})
-    groups = sorted({r[group_by] for r in rows}, key=str)
+    groups = sorted({r[group_by] for r in rows}, key=_natural_key)
     if len(groups) > len(_MARKERS):
         raise ReproError(f"at most {len(_MARKERS)} series supported")
     ys = [float(r[y]) for r in rows]

@@ -1,10 +1,13 @@
-"""Engine + grid benchmark harness (``repro bench`` / ``scripts/run_bench.py``).
+"""Engine + cache benchmark harness (``repro bench`` / ``scripts/run_bench.py``).
 
 Times the heap and vector list-scheduling engines on a fixed set of
-case families, the parallel grid dispatcher, cold-vs-warm instance
-construction through the build cache, and the resident ``repro serve``
-daemon against cold process startup, and writes a schema-versioned JSON
-report (``BENCH_7.json`` at the repo root is the committed baseline).
+case families and cold-vs-warm instance construction through the build
+cache, and writes a schema-versioned JSON report (``BENCH_7.json`` at
+the repo root is the last committed full report).  What the report
+freezes is the schedules: the per-family checksums, heap ≡ frontier on
+every case, and the cache's byte identity.  End-to-end grid and serve
+latency and throughput are perfbench's (``perfbench/run.py``, workloads
+``figures_par`` and ``serve_open``).
 
 Report sections
 ---------------
@@ -17,16 +20,8 @@ Report sections
   ``mesh_s``/``build_s``/``cache_s`` (instance acquisition), ``setup_s``
   (delays, assignment, priorities) and ``warm_s`` (only the structural
   caches every engine shares).
-* ``grid`` — :func:`repro.experiments.runner.run_grid` at each count in
-  :data:`GRID_WORKERS`: rows/second, the chunk plan, peak worker RSS, a
-  bit-identical-to-serial flag and the dispatcher's phase split, next
-  to the machine's ``cpu_count``.
 * ``construction`` — one cold build-and-store against a warm cache-hit
   load of the same instance, with a byte-identity flag.
-* ``serve`` — a cold one-shot process against a real daemon at each
-  count in :data:`SERVE_WORKERS`, served unbatched (p50/p95 latency)
-  and pipelined (batched throughput); every summary is cross-checked
-  against the serial runner.
 
 ``--families`` writes a *partial* report (the selected cases only) for
 hot-path iteration; ``--smoke`` runs tiny sizes in seconds for CI.
@@ -72,52 +67,30 @@ from repro.experiments.gates import Gate, evaluate, format_value
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "BASELINE_SERIAL_ROWS_PER_SEC",
     "BENCH_ENGINES",
     "BENCH_FAMILIES",
     "DEFAULT_BENCH_CELLS",
     "GATES",
-    "GRID_WORKERS",
-    "SERVE_WORKERS",
     "V5_SETUP_S",
     "V5_CASE_CHECKSUMS",
-    "WORKER_RSS_CEILING_MB",
     "bench_cases",
     "construction_bench",
     "evaluate_gates",
     "gate_table",
-    "grid_bench",
-    "grid_bench_config",
     "run_bench",
-    "serve_bench",
     "validate_bench",
     "write_bench",
 ]
 
 #: Bump when the report layout changes; the filename tracks it
 #: (``BENCH_<version>.json``) so stale baselines cannot be misread.
-BENCH_SCHEMA_VERSION = 7
+BENCH_SCHEMA_VERSION = 8
 
 #: Engines every bench case times and cross-checks.
 BENCH_ENGINES = ("heap", "vector")
 
 #: Mesh size when ``REPRO_BENCH_CELLS`` is unset.
 DEFAULT_BENCH_CELLS = 2000
-
-#: Peak worker RSS (MiB) no parallel grid run may exceed.  Spawn-context
-#: workers map the shared segment into a fresh interpreter, so their
-#: high-water mark is attach + scheduling working set — the fork-era
-#: copy-on-write snapshot of the parent heap put this near 860 MiB.
-WORKER_RSS_CEILING_MB = 150.0
-
-#: The committed schema-v4 serial grid throughput (rows/second) on the
-#: reference container — the absolute baseline the ``grid_rows_factor``
-#: gate multiplies.  Frozen, not re-measured: re-deriving it each run
-#: would let a serial regression silently lower the parallel bar.
-BASELINE_SERIAL_ROWS_PER_SEC = 8.527
-
-#: Worker counts the grid family times in a full (non-smoke) run.
-GRID_WORKERS = (1, 2, 4)
 
 #: Every case family a full report must cover (``--families`` subsets).
 BENCH_FAMILIES = ("mesh_large", "mesh_standard", "chain", "wide_layer")
@@ -137,10 +110,6 @@ V5_CASE_CHECKSUMS = {
     "chain": 4141441418,
     "wide_layer": 3530932037,
 }
-
-#: Worker counts the ``serve`` section spins a daemon up at in a full
-#: (non-smoke) run; smoke runs ``(1, 2)``.
-SERVE_WORKERS = (1, 2, 4)
 
 
 def _bench_cells(smoke: bool, cells: int | None) -> int:
@@ -304,198 +273,6 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
     }
 
 
-def _percentile_ms(samples: list, q: float) -> float:
-    """Nearest-rank percentile of a list of seconds, in milliseconds."""
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx] * 1e3
-
-
-def serve_bench(
-    smoke: bool = False,
-    cells: int | None = None,
-    workers_list: tuple | None = None,
-) -> dict:
-    """Cold one-shot process vs the resident daemon; the ``serve`` section.
-
-    ``cold`` times a fresh interpreter running one grid cell end to end
-    (the price every daemon-less invocation pays).  Each run then
-    drives a real ``python -m repro serve`` subprocess over its unix
-    socket at one worker count: the instance is pre-published, the same
-    cell family is served once sequentially (per-request p50/p95
-    latency, unbatched throughput) and once fully pipelined on a single
-    connection (batched throughput through the coalescing window), and
-    every summary is compared against the serial
-    :func:`repro.experiments.runner.run_cell` result — the daemon must
-    be bit-identical, not merely fast.  Each daemon is drained with
-    SIGTERM (``clean_exit``) and the section records any orphaned shm
-    segments left behind.
-    """
-    import signal
-    import subprocess
-    import sys
-    import tempfile
-
-    import repro
-    from repro.experiments.configs import ExperimentConfig
-    from repro.experiments.runner import run_cell
-    from repro.parallel import list_orphan_segments
-    from repro.serve.client import ServeClient
-
-    instance = {
-        "mesh": "tetonly",
-        "target_cells": _bench_cells(smoke, cells),
-        "mesh_seed": 0,
-        "k": 4 if smoke else 8,
-    }
-    m, n_requests = (8, 6) if smoke else (32, 24)
-    if workers_list is None:
-        workers_list = (1, 2) if smoke else SERVE_WORKERS
-    algorithm = "random_delay_priority"
-    seeds = list(range(n_requests))
-
-    config = ExperimentConfig(
-        mesh=instance["mesh"],
-        target_cells=instance["target_cells"],
-        k=instance["k"],
-        m_values=(m,),
-        block_sizes=(1,),
-        algorithms=(algorithm,),
-        seeds=tuple(seeds),
-        mesh_seed=instance["mesh_seed"],
-    )
-    serial = [
-        run_cell(config, algorithm, m, 1, seed).as_dict() for seed in seeds
-    ]
-
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__))
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-
-    # Cold = what a daemon-less caller pays per cell: interpreter start,
-    # imports, mesh generation, DAG build, one schedule.  The printed
-    # makespan is checked against the serial baseline so a crashed or
-    # short-circuited one-shot cannot pose as a fast cold path.
-    cold_script = (
-        "from repro.experiments.configs import ExperimentConfig\n"
-        "from repro.experiments.runner import run_cell\n"
-        f"config = ExperimentConfig(mesh={instance['mesh']!r}, "
-        f"target_cells={instance['target_cells']}, k={instance['k']}, "
-        f"m_values=({m},), block_sizes=(1,), "
-        f"algorithms=({algorithm!r},), seeds=(0,), "
-        f"mesh_seed={instance['mesh_seed']})\n"
-        f"print(run_cell(config, {algorithm!r}, {m}, 1, 0).makespan)\n"
-    )
-    with obs.timed("bench.serve_cold", cat="bench") as t_cold:
-        cold_proc = subprocess.run(
-            [sys.executable, "-c", cold_script],
-            env=env, capture_output=True, text=True,
-        )
-    cold_ok = (
-        cold_proc.returncode == 0
-        and cold_proc.stdout.strip() == str(serial[0]["makespan"])
-    )
-
-    runs = []
-    best_warm_p50_s = float("inf")
-    with tempfile.TemporaryDirectory(prefix="repro_serve_bench_") as tmp:
-        for workers in workers_list:
-            sock = os.path.join(tmp, f"serve_{workers}.sock")
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
-                 "--socket", sock, "--workers", str(workers)],
-                env=env, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True,
-            )
-            try:
-                if "ready" not in (proc.stdout.readline() or ""):
-                    raise RuntimeError(
-                        "serve daemon failed to start: " + proc.stderr.read()
-                    )
-                with ServeClient(sock) as client:
-                    client.publish(instance)
-                    latencies = []
-                    sequential = []
-                    for seed in seeds:
-                        with obs.timed("bench.serve_request", cat="bench") as t_req:
-                            summary = client.schedule(
-                                instance, algorithm, m, 1, seed
-                            )
-                        latencies.append(t_req.elapsed)
-                        sequential.append(summary.as_dict())
-                    requests = [
-                        {
-                            "instance": instance,
-                            "algorithm": algorithm,
-                            "m": m,
-                            "block_size": 1,
-                            "seed": seed,
-                        }
-                        for seed in seeds
-                    ]
-                    with obs.timed("bench.serve_batch", cat="bench") as t_batch:
-                        batched = [
-                            s.as_dict()
-                            for s in client.schedule_many(requests)
-                        ]
-                    chunks = client.status()["batcher"]["chunks_dispatched"]
-            finally:
-                try:
-                    proc.send_signal(signal.SIGTERM)
-                    proc.communicate(timeout=120)
-                except Exception:
-                    proc.kill()
-                    proc.communicate()
-            unbatched_wall = sum(latencies)
-            p50_ms = _percentile_ms(latencies, 0.50)
-            best_warm_p50_s = min(best_warm_p50_s, p50_ms / 1e3)
-            runs.append(
-                {
-                    "workers": int(workers),
-                    "n_requests": int(n_requests),
-                    "warm_p50_ms": p50_ms,
-                    "warm_p95_ms": _percentile_ms(latencies, 0.95),
-                    "unbatched_wall_s": unbatched_wall,
-                    "unbatched_requests_per_sec": (
-                        n_requests / unbatched_wall
-                        if unbatched_wall > 0
-                        else 0.0
-                    ),
-                    "batched_wall_s": t_batch.elapsed,
-                    "batched_requests_per_sec": (
-                        n_requests / t_batch.elapsed
-                        if t_batch.elapsed > 0
-                        else 0.0
-                    ),
-                    "chunks_dispatched": int(chunks),
-                    "identical_to_serial": bool(
-                        sequential == serial and batched == serial
-                    ),
-                    "clean_exit": proc.returncode == 0,
-                }
-            )
-    return {
-        "config": {
-            "mesh": instance["mesh"],
-            "cells": int(instance["target_cells"]),
-            "k": int(instance["k"]),
-            "algorithm": algorithm,
-            "m": int(m),
-            "block_size": 1,
-        },
-        "cold": {"wall_time_s": t_cold.elapsed, "ok": bool(cold_ok)},
-        "runs": runs,
-        "warm_vs_cold_speedup": (
-            t_cold.elapsed / max(best_warm_p50_s, 1e-12)
-        ),
-        "leaked_segments": list_orphan_segments(),
-    }
-
-
 def _bench_case(case: dict, seed: int, repeats: int) -> dict:
     """Build, set up, warm and time one case; returns its report entry.
 
@@ -555,10 +332,9 @@ def run_bench(
     cells: int | None = None,
     repeats: int | None = None,
     seed: int = 0,
-    grid_workers: tuple | None = None,
     families: list | tuple | None = None,
 ) -> dict:
-    """Run the full benchmark grid; returns the schema-v7 report dict.
+    """Run the full benchmark grid; returns the schema-v8 report dict.
 
     Each case builds its instance through the timed construction
     phases, then times all of :data:`BENCH_ENGINES` on Algorithm 2's
@@ -567,19 +343,14 @@ def run_bench(
     schedules are identical — a benchmark that silently compared
     different schedules would be meaningless.  The timed ``warm_s``
     phase covers only the structural caches every engine shares.  The
-    ``grid`` section then times the parallel grid dispatcher at each
-    count in ``grid_workers`` (default :data:`GRID_WORKERS`, or
-    ``(1, 2)`` in smoke mode), the ``construction`` section times one
-    cold-vs-warm build through the content-addressed cache, and the
-    ``serve`` section races the resident daemon against cold one-shot
-    process startup at each :data:`SERVE_WORKERS` count.  ``cells``
-    records the mesh size every section built.
+    ``construction`` section then times one cold-vs-warm build through
+    the content-addressed cache.  ``cells`` records the mesh size every
+    section built; ``cpu_count`` is context only, no gate reads it.
 
     ``families`` (a subset of :data:`BENCH_FAMILIES`) produces a
     *partial* report for hot-path iteration: only the selected case
-    families run, the grid, construction and serve sections are
-    ``None``, and ``partial: true`` is stamped so the gates that read
-    those sections do not apply.
+    families run, the construction section is ``None``, and
+    ``partial: true`` is stamped so the gates that read it do not apply.
     """
     if repeats is None:
         repeats = 1 if smoke else 5
@@ -602,129 +373,9 @@ def run_bench(
         "cpu_count": int(os.cpu_count() or 1),
         "cells": int(cells),
         "cases": cases_out,
-        "grid": (
-            None
-            if partial
-            else grid_bench(smoke=smoke, cells=cells, workers_list=grid_workers)
-        ),
         "construction": (
             None if partial else construction_bench(smoke=smoke, cells=cells)
         ),
-        "serve": (None if partial else serve_bench(smoke=smoke, cells=cells)),
-    }
-
-
-def grid_bench_config(smoke: bool = False, cells: int | None = None):
-    """The experiment grid the ``grid`` bench family times.
-
-    Sized so a full run exercises both block regimes (per-cell and
-    blocked) and two algorithm families over a few thousand cells; smoke
-    mode shrinks it to seconds for CI schema validation.
-    """
-    from repro.experiments.configs import ExperimentConfig
-
-    cells = _bench_cells(smoke, cells)
-    if smoke:
-        return ExperimentConfig(
-            mesh="tetonly",
-            target_cells=cells,
-            k=4,
-            m_values=(8,),
-            block_sizes=(1,),
-            algorithms=("random_delay_priority",),
-            seeds=(0, 1),
-        )
-    return ExperimentConfig(
-        mesh="tetonly",
-        target_cells=cells,
-        k=8,
-        m_values=(16, 64),
-        block_sizes=(1, 16),
-        algorithms=("random_delay_priority", "dfds"),
-        seeds=(0, 1, 2),
-    )
-
-
-def grid_bench(
-    smoke: bool = False,
-    cells: int | None = None,
-    workers_list: tuple | None = None,
-) -> dict:
-    """Time ``run_grid`` at each worker count; returns the ``grid`` section.
-
-    Every parallel run's rows are compared against the serial rows and
-    must match bit-for-bit (``identical_to_serial``); worker peak RSS
-    comes from each worker's ``VmHWM`` via the dispatcher's chunk
-    results, so flat memory across worker counts is directly visible in
-    the report.
-    """
-    from repro.experiments.runner import run_grid
-    from repro.parallel import DispatchStats, list_orphan_segments
-
-    if workers_list is None:
-        workers_list = (1, 2) if smoke else GRID_WORKERS
-    # The serial run is the correctness baseline — always measure it, first.
-    workers_list = (1,) + tuple(w for w in workers_list if w != 1)
-    config = grid_bench_config(smoke=smoke, cells=cells)
-    n_rows = (
-        len(config.algorithms) * len(config.block_sizes) * len(config.m_values)
-    )
-    runs = []
-    serial_rows = None
-    for workers in workers_list:
-        stats = DispatchStats()
-        with obs.timed(
-            "bench.grid_run", cat="bench",
-            args_fn=lambda: {"workers": workers},
-        ) as t_run:
-            rows = run_grid(
-                config, with_comm=True, workers=workers, stats=stats
-            )
-        wall = t_run.elapsed
-        if workers == 1:
-            serial_rows = rows
-        # The serial path never enters the dispatcher, so its breakdown
-        # is the single phase it has; parallel runs record the
-        # dispatcher's full warm/plan/publish/dispatch/wait split.
-        phases = (
-            {"run_s": wall}
-            if workers == 1
-            else {k: float(v) for k, v in stats.phases().items()}
-        )
-        runs.append(
-            {
-                "workers": int(workers),
-                "wall_time_s": wall,
-                "rows_per_sec": n_rows / wall if wall > 0 else 0.0,
-                "n_chunks": int(stats.n_chunks),
-                "chunk_cells": list(stats.chunk_cells),
-                "peak_worker_rss_mb": float(stats.peak_worker_rss_mb),
-                "identical_to_serial": bool(
-                    serial_rows is not None and rows == serial_rows
-                ),
-                "phases": phases,
-            }
-        )
-    serial = next(r for r in runs if r["workers"] == 1)
-    return {
-        "config": {
-            "mesh": config.mesh,
-            "cells": int(config.target_cells),
-            "k": int(config.k),
-            "m_values": list(config.m_values),
-            "block_sizes": list(config.block_sizes),
-            "algorithms": list(config.algorithms),
-            "seeds": list(config.seeds),
-            "n_rows": int(n_rows),
-        },
-        "runs": runs,
-        "speedups": {
-            str(r["workers"]): serial["wall_time_s"]
-            / max(r["wall_time_s"], 1e-12)
-            for r in runs
-            if r["workers"] != 1
-        },
-        "leaked_segments": list_orphan_segments(),
     }
 
 
@@ -739,8 +390,6 @@ def _vs_fastest(case: dict, engine: str) -> float:
 GATES: tuple[Gate, ...] = (
     Gate("schema_version", "schema_version", "==", BENCH_SCHEMA_VERSION,
          "always", "the report layout this code writes"),
-    Gate("cpu_count", "cpu_count", ">=", 1, "always",
-         "the scaling gates key on the cores the run had"),
     Gate("all_families", "families", "==", 0, "full",
          "a full report times every family (value: how many are missing)",
          lambda fams: len(set(BENCH_FAMILIES) - set(fams))),
@@ -771,68 +420,20 @@ GATES: tuple[Gate, ...] = (
     *(Gate(f"checksum_{fam}", f"cases[family={fam}].checksum", "==", checksum,
            "reference", "the schedule equals the frozen v5 one")
       for fam, checksum in V5_CASE_CHECKSUMS.items()),
-    Gate("grid_serial_run", "grid.runs[workers=1].phases.run_s", ">=", 0,
-         "full", "the serial baseline the parallel runs are checked against"),
-    Gate("grid_parallel_phases", "grid.runs[workers!=1].phases."
-         "{warm_s,plan_s,publish_s,dispatch_s,wait_s}", ">=", 0, "full",
-         "at least one parallel run, with the dispatcher's phase split"),
-    Gate("grid_timings", "grid.runs[*].{wall_time_s,rows_per_sec}", ">", 0,
-         "full", "every grid run was timed"),
-    Gate("grid_identical", "grid.runs[*].identical_to_serial", "==", True,
-         "full", "parallel rows are bit-identical to the serial rows"),
-    Gate("worker_rss_ceiling", "grid.runs[workers!=1].peak_worker_rss_mb",
-         "in", (0.0, WORKER_RSS_CEILING_MB), "full",
-         "workers attach the shared instance, not a copy of the parent heap"),
-    Gate("worker_rss_flat", "grid.runs", "<=", 1.25, "full, not smoke",
-         "peak worker RSS stays flat across worker counts (max/min)",
-         lambda runs: max(rss := [run["peak_worker_rss_mb"] for run in runs
-                                  if run["workers"] != 1]) / min(rss)),
-    Gate("grid_speedup_4w", "grid.speedups.4", ">=", 1.5, "cpu_count >= 4",
-         "4 workers run the grid >= 1.5x faster than serial"),
-    Gate("grid_rows_factor", "grid.runs", ">=", 3.0 * BASELINE_SERIAL_ROWS_PER_SEC,
-         "cpu_count >= 4", "the best parallel run reaches 3x the v4 serial rows/s",
-         lambda runs: max(run["rows_per_sec"] for run in runs
-                          if run["workers"] != 1)),
-    Gate("grid_leaked_segments", "grid.leaked_segments", "==", 0, "full",
-         "the grid leaves no shared-memory segment behind", len),
     Gate("construction_cache_hit", "construction.{cold_s,warm_s,cache_hits}", ">",
          0, "full", "both loads were timed and the warm one is a counted hit"),
     Gate("construction_byte_identical", "construction.byte_identical", "==", True,
          "full", "the cache hit loads back the cold build's arrays"),
     Gate("construction_speedup", "construction.speedup", ">=", 5.0,
          "full, not smoke", "a cache hit loads >= 5x faster than a build"),
-    Gate("serve_cold", "serve.cold.{ok,wall_time_s}", ">", 0, "full",
-         "the cold one-shot was timed and printed the serial makespan"),
-    Gate("serve_timings", "serve.runs[*].{warm_p50_ms,warm_p95_ms,unbatched_wall_s,"
-         "unbatched_requests_per_sec,batched_wall_s,batched_requests_per_sec}",
-         ">", 0, "full", "every daemon run was timed"),
-    Gate("serve_identical", "serve.runs[*].identical_to_serial", "==", True,
-         "full", "served summaries equal the serial run_cell results"),
-    Gate("serve_clean_exit", "serve.runs[*].clean_exit", "==", True, "full",
-         "every daemon drains to exit 0 on SIGTERM"),
-    Gate("serve_coalesces", "serve.runs[*]", "<", 1.0, "full",
-         "pipelined chunks per request (a sequential request is one chunk)",
-         lambda run: (run["chunks_dispatched"] - run["n_requests"])
-         / run["n_requests"]),
-    Gate("all_serve_workers", "serve.runs", "==", 0, "full, not smoke",
-         "a daemon ran at every SERVE_WORKERS count (value: how many missing)",
-         lambda runs: len(set(SERVE_WORKERS) - {run["workers"] for run in runs})),
-    Gate("warm_serve_speedup", "serve.warm_vs_cold_speedup", ">=", 5.0,
-         "full, not smoke", "warm daemon p50 beats cold process startup 5x"),
-    Gate("serve_batching_pays", "serve.runs[*]", ">", 1.0, "full, not smoke",
-         "pipelined throughput beats one request per round trip",
-         lambda run: run["batched_requests_per_sec"]
-         / run["unbatched_requests_per_sec"]),
-    Gate("serve_leaked_segments", "serve.leaked_segments", "==", 0, "full",
-         "the daemons leave no shared-memory segment behind", len),
 )
+
 
 def _out_of_scope(report: dict) -> dict:
     """Why each applies-when name excludes ``report`` (``""``: it applies).
 
     ``reference`` is the fidelity the frozen numbers were measured at,
-    partial reports included; ``cpu_count >= 4`` is where a wall-clock
-    speedup can show.
+    partial reports included.
     """
     partial = "partial report" if report.get("partial") else ""
     smoke = "smoke report" if report.get("smoke") else ""
@@ -841,14 +442,11 @@ def _out_of_scope(report: dict) -> dict:
         for key, want in (("cells", DEFAULT_BENCH_CELLS), ("seed", 0))
         if report.get(key) != want
     ), "")
-    cpu = report.get("cpu_count")
-    cores = "" if isinstance(cpu, int) and cpu >= 4 else f"cpu_count {cpu} < 4"
     return {
         "always": "",
         "full": partial,
         "full, not smoke": partial or smoke,
         "reference": smoke or off_reference,
-        "cpu_count >= 4": partial or smoke or cores,
     }
 
 

@@ -7,6 +7,7 @@ and EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 __all__ = ["format_table", "format_series", "pick"]
@@ -20,6 +21,14 @@ def _fmt(value) -> str:
             return f"{value:.0f}"
         return f"{value:.3g}" if abs(value) < 10 else f"{value:.1f}"
     return str(value)
+
+
+def _natural_key(value) -> tuple:
+    """Sort key comparing digit runs as integers: ``k=8`` before ``k=24``."""
+    return tuple(
+        int(part) if part.isdigit() else part
+        for part in re.split(r"(\d+)", str(value))
+    )
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str], title: str = "") -> str:
@@ -60,8 +69,9 @@ def format_series(
 
     This is the figure-shaped view: x-axis values down the side, one
     series per group (e.g. one per algorithm), y values in the cells.
+    Columns sort naturally, digit runs as integers.
     """
-    groups = sorted({row[group_by] for row in rows}, key=str)
+    groups = sorted({row[group_by] for row in rows}, key=_natural_key)
     xs = sorted({row[x] for row in rows})
     table_rows = []
     for xv in xs:

@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import connected_components
 from repro.partition.graph import PartGraph
 from repro.partition.refine import fm_refine
 from repro.util.errors import PartitionError
+from repro.util.rng import as_rng
 
 __all__ = ["fiedler_vector", "spectral_bisect", "spectral_partition"]
 
@@ -50,9 +51,13 @@ def fiedler_vector(g: PartGraph) -> np.ndarray:
         return vecs[:, 1]
     from scipy.sparse.linalg import eigsh
 
+    # A fixed start makes ARPACK, and so the partition, reproducible.
+    # Not the all-ones vector: that is the Laplacian's null vector, an
+    # invariant start on which the Lanczos iteration breaks down.
+    v0 = as_rng(0).random(g.n)
     try:
         # Shift-invert around 0 converges fast for the smallest modes.
-        _vals, vecs = eigsh(lap, k=2, sigma=-1e-3, which="LM")
+        _vals, vecs = eigsh(lap, k=2, sigma=-1e-3, which="LM", v0=v0)
     except Exception:
         _vals, vecs = np.linalg.eigh(lap.toarray())
         return vecs[:, 1]

@@ -1,11 +1,11 @@
 """Smoke test for the benchmark harness (``repro bench --smoke``) and its gates.
 
-Runs the real harness end to end on a tiny mesh and checks the schema-v7
+Runs the real harness end to end on a tiny mesh and checks the schema-v8
 report against :data:`repro.experiments.bench.GATES`, so CI catches a
-broken benchmark (or a drifted schema) without paying for the full
-``BENCH_7.json`` regeneration.  Every gate row is also run against the
-committed ``BENCH_7.json`` and against a copy doctored past that row's
-threshold, which must fail that row and no other.  Marked ``bench_smoke``
+broken benchmark (or a drifted schema) without paying for a full run.
+Every gate row is also run against the committed ``BENCH_7.json`` (read
+as a v8 report) and against a copy doctored past that row's threshold,
+which must fail that row and no other.  Marked ``bench_smoke``
 so CI can also run it as a dedicated step:
 
     python -m pytest -q -m bench_smoke
@@ -41,8 +41,7 @@ _BASELINE = Path(__file__).resolve().parent.parent / "BENCH_7.json"
 #: One doctoring per gate: ``(path, value)`` edits that push
 #: ``BENCH_7.json`` past that gate's threshold and past no other's.
 MUTATIONS = {
-    "schema_version": [("schema_version", 6)],
-    "cpu_count": [("cpu_count", 0)],
+    "schema_version": [("schema_version", 7)],
     "all_families": [("families", ["mesh_large", "chain", "wide_layer"])],
     "case_counts": [("cases[family=chain].makespan", 0)],
     "case_engine_timings": [("cases[family=chain].engines.vector.tasks_per_sec", 0)],
@@ -63,32 +62,9 @@ MUTATIONS = {
         f"checksum_{fam}": [(f"cases[family={fam}].checksum", 0)]
         for fam in V5_CASE_CHECKSUMS
     },
-    "grid_serial_run": [("grid.runs[workers=1].phases.run_s", -1.0)],
-    "grid_parallel_phases": [("grid.runs[workers=2].phases.wait_s", -1.0)],
-    "grid_timings": [("grid.runs[workers=2].wall_time_s", 0.0)],
-    "grid_identical": [("grid.runs[workers=4].identical_to_serial", False)],
-    "worker_rss_ceiling": [("grid.runs[workers!=1].peak_worker_rss_mb", 200.0)],
-    "worker_rss_flat": [("grid.runs[workers=4].peak_worker_rss_mb", 100.0)],
-    "grid_speedup_4w": [
-        ("cpu_count", 4), ("grid.runs[workers!=1].rows_per_sec", 30.0)
-    ],
-    "grid_rows_factor": [("cpu_count", 4), ("grid.speedups.4", 2.0)],
-    "grid_leaked_segments": [("grid.leaked_segments", ["repro_leak"])],
     "construction_cache_hit": [("construction.cache_hits", 0)],
     "construction_byte_identical": [("construction.byte_identical", False)],
     "construction_speedup": [("construction.speedup", 4.0)],
-    "serve_cold": [("serve.cold.ok", False)],
-    "serve_timings": [("serve.runs[workers=2].warm_p95_ms", 0.0)],
-    "serve_identical": [("serve.runs[workers=2].identical_to_serial", False)],
-    "serve_clean_exit": [("serve.runs[workers=4].clean_exit", False)],
-    # No coalescing at all: one chunk per pipelined request.
-    "serve_coalesces": [("serve.runs[workers=1].chunks_dispatched", 48)],
-    "all_serve_workers": [("serve.runs[workers=4].workers", 8)],
-    "warm_serve_speedup": [("serve.warm_vs_cold_speedup", 4.0)],
-    "serve_batching_pays": [
-        ("serve.runs[workers=2].batched_requests_per_sec", 30.0)
-    ],
-    "serve_leaked_segments": [("serve.leaked_segments", ["repro_leak"])],
 }
 
 
@@ -99,7 +75,10 @@ def smoke_report():
 
 @pytest.fixture(scope="module")
 def baseline():
-    return json.loads(_BASELINE.read_text())
+    # v8 is v7 minus grid and serve; case and construction code is unchanged.
+    report = json.loads(_BASELINE.read_text())
+    del report["grid"], report["serve"]
+    return dict(report, schema_version=BENCH_SCHEMA_VERSION)
 
 
 def _statuses(report) -> dict:
@@ -117,12 +96,9 @@ def _assert_pass(report, *names):
 
 @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name)
 def test_gate(gate, baseline):
-    """Each row passes on BENCH_7.json (the ``cpu_count >= 4`` rows skip
-    there) and fails, alone, on a copy doctored past its threshold."""
-    expected = (
-        "skipped: cpu_count 1 < 4" if gate.when == "cpu_count >= 4" else "pass"
-    )
-    assert _statuses(baseline)[gate.name] == expected
+    """Each row passes on the baseline and fails, alone, on a copy
+    doctored past its threshold."""
+    assert _statuses(baseline)[gate.name] == "pass"
     doctored = copy.deepcopy(baseline)
     for path, value in MUTATIONS[gate.name]:
         for container, key in select(doctored, path):
@@ -137,25 +113,15 @@ def test_smoke_report_is_schema_valid(smoke_report):
 
 
 def test_smoke_report_records_built_cells(smoke_report):
-    """``cells`` is the size every section built, not the pre-clamp size."""
+    """``cells`` is the size construction built, not the pre-clamp size."""
     cells = smoke_report["cells"]
     assert cells == smoke_report["construction"]["cells"]
-    assert cells == smoke_report["grid"]["config"]["cells"]
-    assert cells == smoke_report["serve"]["config"]["cells"]
 
 
 def test_smoke_report_covers_all_families(smoke_report):
     assert smoke_report["families"] == list(BENCH_FAMILIES)
     assert [c["family"] for c in smoke_report["cases"]] == list(BENCH_FAMILIES)
     assert all(isinstance(c["checksum"], int) for c in smoke_report["cases"])
-
-
-def test_smoke_report_grid_section(smoke_report):
-    runs = smoke_report["grid"]["runs"]
-    assert sorted(run["workers"] for run in runs) == [1, 2]
-    assert all(run["n_chunks"] >= 1 for run in runs if run["workers"] > 1)
-    _assert_pass(smoke_report, "grid_identical", "worker_rss_ceiling",
-                 "grid_leaked_segments")
 
 
 def test_smoke_report_case_phases(smoke_report):
@@ -175,51 +141,9 @@ def test_smoke_report_construction_section(smoke_report):
                  "construction_byte_identical")
 
 
-def test_smoke_report_serve_section(smoke_report):
-    """Bit-identical daemon runs at workers 1 and 2, clean drains, no
-    leaked segments, and a measured cold one-shot baseline."""
-    serve = smoke_report["serve"]
-    assert sorted(run["workers"] for run in serve["runs"]) == [1, 2]
-    assert all(0 < r["warm_p50_ms"] <= r["warm_p95_ms"] for r in serve["runs"])
-    _assert_pass(smoke_report, "serve_cold", "serve_timings", "serve_identical",
-                 "serve_clean_exit", "serve_coalesces", "serve_leaked_segments")
-
-
-def test_smoke_report_grid_phases(smoke_report):
-    """Serial runs record ``run_s``; parallel runs record the
-    dispatcher's warm/plan/publish/dispatch/wait breakdown, with the
-    sub-phases consistent with the run's total wall time."""
-    for run in smoke_report["grid"]["runs"]:
-        phases = run["phases"]
-        if run["workers"] == 1:
-            assert set(phases) == {"run_s"}
-        else:
-            assert set(phases) == {
-                "warm_s", "plan_s", "publish_s", "dispatch_s", "wait_s"
-            }
-            # wait_s is the stalled portion of the pool's lifetime.
-            assert phases["wait_s"] <= phases["dispatch_s"] + 1e-9
-            setup = (phases["warm_s"] + phases["plan_s"]
-                     + phases["publish_s"] + phases["dispatch_s"])
-            assert setup <= run["wall_time_s"] * 1.5 + 1e-9
-
-
-def test_full_report_rejects_missing_serve(smoke_report):
-    broken = dict(smoke_report, serve=None)
-    assert "serve_identical" in _failing(broken)
-
-
 def test_full_report_rejects_missing_construction(smoke_report):
     broken = dict(smoke_report, construction=None)
     assert "construction_byte_identical" in _failing(broken)
-
-
-def test_validator_gates_warm_serve_speedup(smoke_report):
-    """At full fidelity the warm-serve latency and worker-count gates apply."""
-    report = copy.deepcopy(smoke_report)
-    report.update(smoke=False, cells=2000, seed=1)  # seed 1: no frozen-v5 rows
-    report["serve"]["warm_vs_cold_speedup"] = 2.5
-    assert {"warm_serve_speedup", "all_serve_workers"} <= _failing(report)
 
 
 def test_validator_gates_on_frozen_v5_values(smoke_report):
@@ -236,16 +160,16 @@ def test_validator_gates_on_frozen_v5_values(smoke_report):
 
 
 def test_partial_families_report():
-    """``--families`` runs the subset only and omits the other sections;
-    the section gates skip, the family gates skip the families not run."""
+    """``--families`` runs the subset only and omits the construction
+    section; its gates skip, the family gates skip the families not run."""
     report = run_bench(smoke=True, families=["chain"])
     assert validate_bench(report) == []
     assert report["partial"] is True
     assert report["families"] == ["chain"]
     assert [c["family"] for c in report["cases"]] == ["chain"]
-    assert report["grid"] is report["construction"] is report["serve"] is None
+    assert report["construction"] is None
     statuses = _statuses(dict(report, smoke=False, cells=2000, seed=0))
-    assert statuses["grid_identical"] == "skipped: partial report"
+    assert statuses["construction_byte_identical"] == "skipped: partial report"
     assert statuses["checksum_wide_layer"] == "skipped: wide_layer not benchmarked"
     assert not statuses["checksum_chain"].startswith("skipped")
 
@@ -325,7 +249,7 @@ def test_build_cache_warm_run_loads_instead_of_building(tmp_path, monkeypatch):
 
 
 def test_write_bench_round_trips(smoke_report, tmp_path):
-    out = tmp_path / "BENCH_7.json"
+    out = tmp_path / "BENCH_8.json"
     write_bench(smoke_report, str(out))
     on_disk = json.loads(out.read_text())
     assert validate_bench(on_disk) == []
@@ -339,10 +263,10 @@ def test_write_bench_rejects_invalid_report(tmp_path):
 
 
 def test_cli_smoke_writes_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_7.json"
+    out = tmp_path / "BENCH_8.json"
     assert main(["bench", "--smoke", "--out", str(out)]) == 0
     assert validate_bench(json.loads(out.read_text())) == []
-    assert "serve_coalesces              pass" in capsys.readouterr().out
+    assert "construction_byte_identical  pass" in capsys.readouterr().out
 
 
 def test_cli_fails_on_a_failing_gate(baseline, tmp_path, monkeypatch, capsys):
@@ -352,7 +276,7 @@ def test_cli_fails_on_a_failing_gate(baseline, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         "repro.experiments.bench.run_bench", lambda **kwargs: doctored
     )
-    out = tmp_path / "BENCH_7.json"
+    out = tmp_path / "BENCH_8.json"
     for target in ("-", str(out)):
         assert main(["bench", "--out", target]) == 1
         captured = capsys.readouterr()
@@ -360,57 +284,3 @@ def test_cli_fails_on_a_failing_gate(baseline, tmp_path, monkeypatch, capsys):
         assert "construction_speedup: 4 vs >= 5" in captured.err
         assert '"schema_version"' not in captured.out
     assert not out.exists()
-
-
-def test_committed_baseline_is_schema_valid(baseline):
-    """The checked-in BENCH_7.json must always parse and validate."""
-    assert validate_bench(baseline) == []
-    assert baseline["smoke"] is False
-
-
-def test_committed_baseline_warm_serve_latency(baseline):
-    _assert_pass(baseline, "warm_serve_speedup", "serve_cold",
-                 "all_serve_workers", "serve_identical", "serve_clean_exit",
-                 "serve_leaked_segments")
-
-
-def test_committed_baseline_serve_batching_pays(baseline):
-    _assert_pass(baseline, "serve_batching_pays", "serve_coalesces")
-
-
-def test_committed_baseline_setup_speedup(baseline):
-    _assert_pass(baseline, *(f"setup_vs_v5_{fam}" for fam in V5_SETUP_S))
-
-
-def test_committed_baseline_checksums_frozen(baseline):
-    _assert_pass(baseline, *(f"checksum_{fam}" for fam in V5_CASE_CHECKSUMS))
-
-
-def test_committed_baseline_warm_construction(baseline):
-    _assert_pass(baseline, "construction_speedup", "construction_cache_hit",
-                 "construction_byte_identical")
-
-
-def test_committed_baseline_auto_picks_winner(baseline):
-    _assert_pass(baseline, "auto_within_10pct", "auto_engine_timed")
-
-
-def test_committed_baseline_bucket_speedup(baseline):
-    _assert_pass(baseline, "mesh_large_speedup")
-
-
-def test_committed_baseline_grid_criteria(baseline):
-    _assert_pass(baseline, "grid_serial_run", "grid_parallel_phases",
-                 "grid_identical", "worker_rss_flat")
-
-
-def test_committed_baseline_worker_rss_ceiling(baseline):
-    _assert_pass(baseline, "worker_rss_ceiling")
-
-
-def test_committed_baseline_wide_layer_warm_is_structural(baseline):
-    _assert_pass(baseline, "wide_layer_warm")
-
-
-def test_committed_baseline_vector_wins_wide_layer(baseline):
-    _assert_pass(baseline, "wide_layer_frontier_fastest", "auto_within_10pct")

@@ -135,6 +135,14 @@ class TestReport:
         assert "x" in text and "z" in text
         # Missing (m=4, z) cell renders empty without crashing.
         assert text.count("3") >= 1
+        # Columns sort with digit runs as numbers, not as strings.
+        for series in (
+            ("block=1", "block=64", "block=256"),
+            ("dfds,k=8", "dfds,k=24", "level,k=8", "level,k=24"),
+        ):
+            rows = [{"m": 2, "s": s, "y": 1.0} for s in reversed(series)]
+            text = format_series(rows, x="m", y="y", group_by="s")
+            assert text.splitlines()[0].split() == ["m", *series]
 
     def test_pick(self):
         rows = [{"m": 2, "k": 8}, {"m": 4, "k": 8}]

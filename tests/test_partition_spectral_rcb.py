@@ -84,6 +84,17 @@ class TestSpectralBisect:
         with pytest.raises(PartitionError):
             spectral_partition(g, 0)
 
+    def test_repeated_calls_give_identical_labels(self):
+        """The eigensolver starts from a fixed vector, so the partition
+        is a function of the graph alone (large enough for eigsh)."""
+        mesh = tetonly_like(250, seed=0)
+        first, *rest = (
+            spectral_partition(PartGraph.from_edges(mesh.n_cells, mesh.adjacency), 8)
+            for _ in range(5)
+        )
+        for labels in rest:
+            np.testing.assert_array_equal(labels, first)
+
 
 class TestRCB:
     def test_balanced_exactly(self):
