@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="health probe: orphan shm segments + corrupt cache entries",
         description=(
             "Scan for resources a crashed or misbehaving run may have "
-            "leaked: shared-memory segments still present in /dev/shm "
-            "(repro.parallel.list_orphan_segments) and corrupt or "
+            "leaked: shared-memory segments in /dev/shm whose creator "
+            "process is dead (repro.parallel.list_orphan_segments) and corrupt or "
             "stray-tmp build-cache entries "
             "(repro.cache.list_corrupt_entries).  Exits 1 if anything is "
             "found, 0 when clean — CI runs this after the serve drain."
@@ -835,14 +835,16 @@ def _cmd_doctor(args) -> int:
     import contextlib
 
     from repro import cache as build_cache
-    from repro.parallel.shm_store import list_orphan_segments
+    from repro.parallel.shm_store import list_orphan_segments, segment_creator
 
     sick = 0
     orphans = list_orphan_segments()
     if orphans:
         sick = 1
         for name in orphans:
-            print(f"ORPHAN shm segment: /dev/shm/{name}")
+            pid = segment_creator(name)
+            owner = "no creator pid" if pid is None else f"creator pid {pid} is dead"
+            print(f"ORPHAN shm segment: /dev/shm/{name} ({owner})")
     else:
         print("shm segments: clean (no orphans)")
     ctx = (

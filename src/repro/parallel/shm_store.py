@@ -49,10 +49,12 @@ __all__ = [
     "detach_all",
     "verify_attached",
     "list_orphan_segments",
+    "segment_creator",
 ]
 
-#: Every segment this module creates is named ``reproshm_<hex>`` so leak
-#: checks (tests, CI) can scan ``/dev/shm`` for survivors unambiguously.
+#: Every segment this module creates is named ``reproshm_<pid>_<hex>``
+#: (``pid`` = the creating process) so leak checks (tests, CI) can scan
+#: ``/dev/shm`` for survivors unambiguously and tell whose they are.
 SHM_PREFIX = "reproshm_"
 
 #: Segment offsets are rounded up to this many bytes so every attached
@@ -173,7 +175,7 @@ class SharedInstanceStore:
                     blocks[size], dtype=np.int64
                 )
         specs, total = _layout(arrays)
-        name = f"{SHM_PREFIX}{secrets.token_hex(8)}"
+        name = f"{SHM_PREFIX}{os.getpid()}_{secrets.token_hex(8)}"
         views: dict | None = None
         shm = shared_memory.SharedMemory(name=name, create=True, size=total)
         try:
@@ -312,17 +314,51 @@ def detach_all() -> None:
             pass
 
 
+def segment_creator(name: str) -> int | None:
+    """Pid of the process that created store segment ``name``.
+
+    ``None`` when the name carries no pid (a hand-made probe, or a
+    segment from a version that did not encode one).
+    """
+    head = name[len(SHM_PREFIX):].partition("_")[0]
+    if not (head.isascii() and head.isdigit()) or int(head) <= 0:
+        return None
+    return int(head)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0: existence check only
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
 def list_orphan_segments() -> list[str]:
-    """Names of store segments still present in ``/dev/shm``.
+    """Names of store segments in ``/dev/shm`` that this process answers for.
 
     Cleanup verification for tests and the CI leak check: after a grid —
-    even one aborted by a worker crash — this must be empty.  Returns
-    ``[]`` on platforms without a scannable ``/dev/shm``.
+    even one aborted by a worker crash — this must be empty.  A segment
+    counts when this process created it, when its creator is no longer
+    running (a crashed driver, or a daemon that has drained and exited),
+    or when its name carries no creator pid.  Segments of other live
+    processes — a second test session, a running daemon — are theirs to
+    clean up and are not listed.  Returns ``[]`` on platforms without a
+    scannable ``/dev/shm``.
     """
     try:
-        return sorted(
+        names = [
             name for name in os.listdir("/dev/shm")
             if name.startswith(SHM_PREFIX)
-        )
+        ]
     except (FileNotFoundError, NotADirectoryError, PermissionError):
         return []
+    me = os.getpid()
+    return sorted(
+        name for name in names
+        if (pid := segment_creator(name)) is None
+        or pid == me
+        or not _pid_alive(pid)
+    )

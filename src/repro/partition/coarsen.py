@@ -5,6 +5,9 @@ One coarsening level = (i) a maximal matching preferring heavy edges,
 and whose parallel edges merge.  Heavy-edge matching keeps large edge
 weights *inside* coarse vertices, so the coarse graph's cuts track the
 fine graph's cuts — the property multilevel partitioning rests on.
+
+The matching visits vertices one at a time, so it runs on plain lists
+(the CSR arrays are converted once per call); contraction is vectorised.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.graph import PartGraph
-from repro.util.rng import as_rng
 
 __all__ = ["heavy_edge_matching", "contract", "CoarseLevel"]
 
@@ -35,13 +37,12 @@ def heavy_edge_matching(g: PartGraph, rng) -> np.ndarray:
     heaviest unmatched neighbor.  Random visiting order is what makes
     repeated multilevel runs explore different hierarchies.
     """
-    match = np.arange(g.n, dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    order = rng.permutation(g.n)
-    xadj = g.xadj
-    adjncy = g.adjncy
-    adjwgt = g.adjwgt
-    for v in order.tolist():
+    match = list(range(g.n))
+    visited = [False] * g.n
+    xadj = g.xadj.tolist()
+    adjncy = g.adjncy.tolist()
+    adjwgt = g.adjwgt.tolist()
+    for v in rng.permutation(g.n).tolist():
         if visited[v]:
             continue
         visited[v] = True
@@ -56,7 +57,7 @@ def heavy_edge_matching(g: PartGraph, rng) -> np.ndarray:
             visited[best] = True
             match[v] = best
             match[best] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def contract(g: PartGraph, match: np.ndarray) -> CoarseLevel:
@@ -73,8 +74,7 @@ def contract(g: PartGraph, match: np.ndarray) -> CoarseLevel:
     # Coarse edges: map every fine directed CSR entry, drop intra-pair
     # entries, merge the rest.  PartGraph.from_edges handles merging, but
     # the CSR holds each edge twice; halve by keeping src < dst.
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.xadj))
-    csrc = fine_to_coarse[src]
+    csrc = fine_to_coarse[g.rows]
     cdst = fine_to_coarse[g.adjncy]
     keep = csrc < cdst
     edges = np.stack([csrc[keep], cdst[keep]], axis=1)

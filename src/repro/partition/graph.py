@@ -31,16 +31,22 @@ class PartGraph:
     vwgt:
         Vertex weights (coarse vertices accumulate the weights of the
         fine vertices they contract).
+    rows:
+        Source vertex of every CSR entry (aligned with ``adjncy``), for
+        vectorised passes over all directed edges.
     """
 
-    __slots__ = ("n", "xadj", "adjncy", "adjwgt", "vwgt")
+    __slots__ = ("n", "xadj", "adjncy", "adjwgt", "vwgt", "rows")
 
-    def __init__(self, n, xadj, adjncy, adjwgt, vwgt):
+    def __init__(self, n, xadj, adjncy, adjwgt, vwgt, rows=None):
         self.n = int(n)
         self.xadj = xadj
         self.adjncy = adjncy
         self.adjwgt = adjwgt
         self.vwgt = vwgt
+        if rows is None:
+            rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(xadj))
+        self.rows = rows
 
     @classmethod
     def from_edges(
@@ -96,7 +102,7 @@ class PartGraph:
         xadj = np.empty(n + 1, dtype=np.int64)
         xadj[0] = 0
         np.cumsum(counts, out=xadj[1:])
-        return cls(n, xadj, adjncy, adjwgt, node_weights)
+        return cls(n, xadj, adjncy, adjwgt, node_weights, rows=src[order])
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]

@@ -5,6 +5,9 @@ whose move improves the cut most (max gain), until the side reaches its
 target weight.  Several seeds are tried and the best cut wins.  On the
 ~100-vertex coarsest graphs this is both fast and close to optimal, and
 FM refinement cleans up the rest during uncoarsening.
+
+Growth absorbs one vertex at a time, so it runs on plain lists (the CSR
+arrays are converted once per try).
 """
 
 from __future__ import annotations
@@ -14,15 +17,13 @@ from heapq import heappush, heappop
 import numpy as np
 
 from repro.partition.graph import PartGraph
-from repro.util.rng import as_rng
 
 __all__ = ["greedy_graph_growing", "bisection_cut"]
 
 
 def bisection_cut(g: PartGraph, side: np.ndarray) -> int:
     """Total weight of edges crossing the bisection ``side`` (bool array)."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.xadj))
-    cross = side[src] != side[g.adjncy]
+    cross = side[g.rows] != side[g.adjncy]
     # CSR stores each undirected edge twice.
     return int(g.adjwgt[cross].sum() // 2)
 
@@ -51,21 +52,17 @@ def greedy_graph_growing(
 
 
 def _grow_once(g: PartGraph, target_weight: int, rng) -> np.ndarray:
-    side = np.zeros(g.n, dtype=bool)
     if g.n == 0 or target_weight == 0:
-        return side
+        return np.zeros(g.n, dtype=bool)
+    xadj = g.xadj.tolist()
+    adjncy = g.adjncy.tolist()
+    adjwgt = g.adjwgt.tolist()
+    vwgt = g.vwgt.tolist()
+    side = [False] * g.n
     grown = 0
     # gain[v] = (weight to side 1) - (weight to side 0); larger = better.
-    gain = np.zeros(g.n, dtype=np.int64)
-    in_heap = np.zeros(g.n, dtype=bool)
-    heap: list = []
-
-    def push(v):
-        heappush(heap, (-int(gain[v]), int(v)))
-        in_heap[v] = True
-
-    seed = int(rng.integers(g.n))
-    push(seed)
+    gain = [0] * g.n
+    heap = [(0, int(rng.integers(g.n)))]
     while grown < target_weight:
         v = None
         while heap:
@@ -75,15 +72,15 @@ def _grow_once(g: PartGraph, target_weight: int, rng) -> np.ndarray:
                 break
         if v is None:
             # Disconnected remainder: restart from an unabsorbed vertex.
-            left = np.flatnonzero(~side)
-            if left.size == 0:
+            left = [u for u in range(g.n) if not side[u]]
+            if not left:
                 break
-            v = int(left[rng.integers(left.size)])
+            v = left[rng.integers(len(left))]
         side[v] = True
-        grown += int(g.vwgt[v])
-        lo, hi = g.xadj[v], g.xadj[v + 1]
-        for u, w in zip(g.adjncy[lo:hi].tolist(), g.adjwgt[lo:hi].tolist()):
+        grown += vwgt[v]
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
             if not side[u]:
-                gain[u] += 2 * w  # u's edge to v flips from cut to internal
-                push(u)
-    return side
+                gain[u] += 2 * adjwgt[idx]  # u's edge to v flips from cut to internal
+                heappush(heap, (-gain[u], u))
+    return np.array(side, dtype=bool)

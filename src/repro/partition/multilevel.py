@@ -75,7 +75,8 @@ def partition_graph(
         raise PartitionError(f"n_parts must be positive, got {n_parts}")
     rng = as_rng(seed)
     out = np.zeros(g.n, dtype=np.int64)
-    _recurse(g, np.arange(g.n, dtype=np.int64), n_parts, 0, out, rng, imbalance)
+    if n_parts > 1 and g.n:
+        _recurse(g, np.arange(g.n, dtype=np.int64), n_parts, 0, out, rng, imbalance)
     return out
 
 
@@ -88,28 +89,43 @@ def _recurse(
     rng,
     imbalance: float,
 ) -> None:
-    if n_parts == 1 or vertices.size == 0:
-        out[vertices] = first_part
-        return
-    sub = _subgraph(g, vertices)
+    """Label ``vertices`` with parts ``first_part..first_part+n_parts-1``.
+
+    ``g`` is the subgraph induced on ``vertices``, so each recursion level
+    extracts its halves from its own graph, not from the whole one.
+    """
     left_parts = n_parts // 2
     right_parts = n_parts - left_parts
     # Proportional target: the right side receives right/total of the weight.
-    target = int(round(sub.total_vertex_weight * right_parts / n_parts))
-    side = multilevel_bisect(sub, target, seed=rng, imbalance=imbalance)
-    _recurse(g, vertices[~side], left_parts, first_part, out, rng, imbalance)
-    _recurse(g, vertices[side], right_parts, first_part + left_parts, out, rng, imbalance)
+    target = int(round(g.total_vertex_weight * right_parts / n_parts))
+    side = multilevel_bisect(g, target, seed=rng, imbalance=imbalance)
+    for half, parts, first in (
+        (~side, left_parts, first_part),
+        (side, right_parts, first_part + left_parts),
+    ):
+        if parts == 1 or not half.any():
+            out[vertices[half]] = first
+        else:
+            _recurse(_subgraph(g, half), vertices[half], parts, first, out, rng, imbalance)
 
 
-def _subgraph(g: PartGraph, vertices: np.ndarray) -> PartGraph:
-    """Induced subgraph on ``vertices`` (relabelled 0..len-1)."""
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[vertices] = np.arange(vertices.size, dtype=np.int64)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.xadj))
-    keep = (remap[src] >= 0) & (remap[g.adjncy] >= 0) & (src < g.adjncy)
-    edges = np.stack([remap[src[keep]], remap[g.adjncy[keep]]], axis=1)
-    return PartGraph.from_edges(
-        vertices.size, edges, edge_weights=g.adjwgt[keep], node_weights=g.vwgt[vertices]
+def _subgraph(g: PartGraph, keep: np.ndarray) -> PartGraph:
+    """Induced subgraph on the vertices where ``keep`` is True, relabelled
+    0..k-1 in order.
+
+    The relabelling is monotone, so filtering the CSR keeps the order
+    :meth:`PartGraph.from_edges` gives each row (higher neighbors
+    ascending, then lower ones ascending): the result is array for array
+    the graph ``from_edges`` would build from the induced edge list.
+    """
+    n = int(np.count_nonzero(keep))
+    remap = np.cumsum(keep, dtype=np.int64) - 1
+    entries = keep[g.rows] & keep[g.adjncy]
+    rows = remap[g.rows[entries]]
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=xadj[1:])
+    return PartGraph(
+        n, xadj, remap[g.adjncy[entries]], g.adjwgt[entries], g.vwgt[keep], rows=rows
     )
 
 

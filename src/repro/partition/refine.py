@@ -8,16 +8,21 @@ best prefix.  Passes repeat until a pass fails to improve the cut.
 Gains update incrementally (only a moved vertex's neighbors change), and
 an early-exit counter abandons a pass after a long non-improving streak,
 which keeps refinement near-linear per level in practice.
+
+The move loop is per-vertex Python, so it runs on plain lists: the CSR
+arrays are converted once per :func:`fm_refine` call, and side, gain and
+lock flags are lists inside a pass.  Only the initial gains are a numpy
+pass.  Heap keys are ``(-gain, v)``, which are totally ordered, so pop
+order (and with it every label) does not depend on how a heap was built.
 """
 
 from __future__ import annotations
 
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from repro.partition.graph import PartGraph
-from repro.partition.initial import bisection_cut
 
 __all__ = ["fm_refine"]
 
@@ -29,7 +34,7 @@ def fm_refine(
     imbalance: float = 0.05,
     max_passes: int = 8,
 ) -> np.ndarray:
-    """Refine bisection ``side`` in place-ish; returns the improved array.
+    """Refine bisection ``side``; returns the improved array.
 
     Parameters
     ----------
@@ -50,8 +55,10 @@ def fm_refine(
     lo = max(0, int(target_weight * (1 - imbalance)) - max_vw)
     hi = min(total, int(target_weight * (1 + imbalance)) + max_vw)
 
+    csr = (g.xadj.tolist(), g.adjncy.tolist(), g.adjwgt.tolist(), g.vwgt.tolist())
     for _ in range(max_passes):
-        improved = _one_pass(g, side, lo, hi)
+        sides, improved = _one_pass(g, csr, side, lo, hi)
+        side[:] = sides
         if not improved:
             break
     return side
@@ -59,22 +66,26 @@ def fm_refine(
 
 def _gains(g: PartGraph, side: np.ndarray) -> np.ndarray:
     """gain[v] = (cut weight removed) - (cut weight added) if v moves."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.xadj))
-    cross = side[src] != side[g.adjncy]
-    ext = np.zeros(g.n, dtype=np.int64)
-    np.add.at(ext, src, np.where(cross, g.adjwgt, 0))
-    internal = np.zeros(g.n, dtype=np.int64)
-    np.add.at(internal, src, np.where(cross, 0, g.adjwgt))
-    return ext - internal
+    cross = side[g.rows] != side[g.adjncy]
+    signed = np.where(cross, g.adjwgt, -g.adjwgt)
+    return np.bincount(g.rows, weights=signed, minlength=g.n).astype(np.int64)
 
 
-def _one_pass(g: PartGraph, side: np.ndarray, lo: int, hi: int) -> bool:
-    gain = _gains(g, side)
-    locked = np.zeros(g.n, dtype=bool)
-    w1 = int(g.vwgt[side].sum())
-    heaps = {False: [], True: []}  # keyed by current side of the vertex
-    for v in range(g.n):
-        heappush(heaps[bool(side[v])], (-int(gain[v]), v))
+def _one_pass(g: PartGraph, csr, side_arr: np.ndarray, lo: int, hi: int):
+    """One FM pass; returns ``(side as a list, whether the cut improved)``."""
+    xadj, adjncy, adjwgt, vwgt = csr
+    side = side_arr.tolist()
+    gain_arr = _gains(g, side_arr)
+    gain = gain_arr.tolist()
+    locked = [False] * g.n
+    w1 = int(g.vwgt[side_arr].sum())
+    # One heap per side, indexed by the vertex's current side.
+    heaps = tuple(
+        list(zip((-gain_arr[ids]).tolist(), ids.tolist()))
+        for ids in (np.flatnonzero(~side_arr), np.flatnonzero(side_arr))
+    )
+    for heap in heaps:
+        heapify(heap)
 
     moves: list[int] = []
     cum = 0
@@ -84,28 +95,30 @@ def _one_pass(g: PartGraph, side: np.ndarray, lo: int, hi: int) -> bool:
     stall_limit = 64 + g.n // 16
 
     while stall < stall_limit:
-        v = _pop_feasible(g, heaps, gain, locked, side, w1, lo, hi)
+        v = _pop_feasible(heaps, gain, locked, side, vwgt, w1, lo, hi)
         if v is None:
             break
-        from_side = bool(side[v])
+        from_side = side[v]
         locked[v] = True
-        cum += int(gain[v])
-        side[v] = not from_side
-        w1 += -int(g.vwgt[v]) if from_side else int(g.vwgt[v])
+        cum += gain[v]
+        side[v] = to_side = not from_side
+        w1 += -vwgt[v] if from_side else vwgt[v]
         moves.append(v)
         # Incremental gain update: v's own gain flips sign; each unlocked
         # neighbor's gain shifts by ±2w depending on whether it now shares
         # v's side.
         gain[v] = -gain[v]
-        s, e = g.xadj[v], g.xadj[v + 1]
-        for u, w in zip(g.adjncy[s:e].tolist(), g.adjwgt[s:e].tolist()):
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
             if locked[u]:
                 continue
-            if side[u] == side[v]:
-                gain[u] -= 2 * w
+            su = side[u]
+            if su == to_side:
+                gu = gain[u] - 2 * adjwgt[idx]
             else:
-                gain[u] += 2 * w
-            heappush(heaps[bool(side[u])], (-int(gain[u]), u))
+                gu = gain[u] + 2 * adjwgt[idx]
+            gain[u] = gu
+            heappush(heaps[su], (-gu, u))
         if cum > best_cum:
             best_cum = cum
             best_len = len(moves)
@@ -116,32 +129,31 @@ def _one_pass(g: PartGraph, side: np.ndarray, lo: int, hi: int) -> bool:
     # Roll back moves past the best prefix.
     for v in moves[best_len:]:
         side[v] = not side[v]
-    return best_cum > 0
+    return side, best_cum > 0
 
 
-def _pop_feasible(g, heaps, gain, locked, side, w1, lo, hi):
+def _pop_feasible(heaps, gain, locked, side, vwgt, w1, lo, hi):
     """Best-gain unlocked vertex whose move keeps side-1 weight in [lo, hi].
 
     Moving from side 1 shrinks w1; from side 0 grows it.  Tries both heaps
-    and returns the better feasible candidate (lazy-invalidation pops).
+    and returns the better feasible candidate, larger ``(gain, v)`` first
+    (lazy-invalidation pops).
     """
-    candidates = []
+    best = None
     for from_side in (True, False):
         heap = heaps[from_side]
         while heap:
             negg, v = heap[0]
-            if locked[v] or bool(side[v]) != from_side or -negg != gain[v]:
+            if locked[v] or side[v] != from_side or -negg != gain[v]:
                 heappop(heap)
                 continue
-            vw = int(g.vwgt[v])
-            new_w1 = w1 - vw if from_side else w1 + vw
-            if lo <= new_w1 <= hi:
-                candidates.append((-negg, v))
+            new_w1 = w1 - vwgt[v] if from_side else w1 + vwgt[v]
+            if lo <= new_w1 <= hi and (best is None or (-negg, v) > best):
+                best = (-negg, v)
             break
-    if not candidates:
+    if best is None:
         return None
-    candidates.sort(reverse=True)
-    best_gain, v = candidates[0]
+    v = best[1]
     # Remove it from its heap (it is at the top).
-    heappop(heaps[bool(side[v])])
+    heappop(heaps[side[v]])
     return v

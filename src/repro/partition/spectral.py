@@ -88,21 +88,19 @@ def spectral_partition(g: PartGraph, n_parts: int, refine: bool = True) -> np.nd
 
 
 def _recurse(g, vertices, n_parts, first, out, refine):
+    """``g`` is the subgraph induced on ``vertices``."""
     if n_parts == 1 or vertices.size <= 1:
         out[vertices] = first
         return
     from repro.partition.multilevel import _subgraph
 
-    sub = _subgraph(g, vertices)
-    if sub.num_undirected_edges == 0:
+    if g.num_undirected_edges == 0:
         # No structure to cut: split by count.
         half = vertices.size * (n_parts // 2) // n_parts
-        left, right = vertices[: vertices.size - half], vertices[vertices.size - half :]
+        side = np.arange(vertices.size) >= vertices.size - half
     else:
-        side = spectral_bisect(sub, refine=refine)
-        # Proportional target: put ~right/total weight on side True.
-        left, right = vertices[~side], vertices[side]
+        side = spectral_bisect(g, refine=refine)
     lp = n_parts // 2
     rp = n_parts - lp
-    _recurse(g, left, lp, first, out, refine)
-    _recurse(g, right, rp, first + lp, out, refine)
+    _recurse(_subgraph(g, ~side), vertices[~side], lp, first, out, refine)
+    _recurse(_subgraph(g, side), vertices[side], rp, first + lp, out, refine)

@@ -7,6 +7,11 @@ scan the leak checks build on.  Cross-process behaviour is covered by
 ``tests/test_parallel_grid.py`` through the real dispatcher.
 """
 
+import os
+import subprocess
+import sys
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ from repro.parallel import (
     list_orphan_segments,
     warm_instance,
 )
+from repro.parallel.shm_store import segment_creator
 from repro.util.errors import InvalidInstanceError
 
 TINY = ExperimentConfig(
@@ -123,8 +129,6 @@ class TestLifecycle:
 
 class TestOrphanScan:
     def test_scan_sees_prefixed_segments_only(self):
-        from multiprocessing import shared_memory
-
         shm = shared_memory.SharedMemory(
             name=f"{SHM_PREFIX}orphan_probe", create=True, size=64
         )
@@ -134,6 +138,42 @@ class TestOrphanScan:
             shm.close()
             shm.unlink()
         assert f"{SHM_PREFIX}orphan_probe" not in list_orphan_segments()
+
+    def test_segment_name_carries_creator_pid(self, inst):
+        with SharedInstanceStore.publish(inst) as store:
+            name = store.manifest.segment
+            assert name.startswith(f"{SHM_PREFIX}{os.getpid()}_")
+            assert segment_creator(name) == os.getpid()
+        assert segment_creator(f"{SHM_PREFIX}orphan_probe") is None
+        assert segment_creator(f"{SHM_PREFIX}0_ab") is None
+        assert segment_creator(f"{SHM_PREFIX}\u00b2_ab") is None  # '²'.isdigit()
+
+    def test_scan_skips_live_owners_and_reports_dead_ones(self, capsys):
+        """A segment named for another live process is that process's to
+        clean up; once its creator is dead, the scan and ``repro doctor``
+        report it."""
+        from repro.cli import main
+
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"],
+            stdin=subprocess.PIPE,
+        )
+        name = f"{SHM_PREFIX}{child.pid}_probe"
+        shm = shared_memory.SharedMemory(name=name, create=True, size=64)
+        try:
+            assert name not in list_orphan_segments()
+            child.communicate(timeout=30)  # EOF on stdin: the child exits
+            assert name in list_orphan_segments()
+            assert main(["doctor"]) == 1
+            out = capsys.readouterr().out
+            assert f"/dev/shm/{name} (creator pid {child.pid} is dead)" in out
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            shm.close()
+            shm.unlink()
+        assert name not in list_orphan_segments()
 
 
 class TestCacheWireFormat:

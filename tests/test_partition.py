@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.mesh import Mesh
 from repro.partition import (
@@ -27,6 +29,116 @@ def grid_graph(nx_, ny_):
     """nx_ x ny_ grid as a PartGraph."""
     mesh = Mesh.structured_grid((nx_, ny_))
     return PartGraph.from_edges(mesh.n_cells, mesh.adjacency), mesh
+
+
+@st.composite
+def weighted_graphs(draw, max_n: int = 24):
+    """A random graph with integer edge weights in [1, 9] and vertex
+    weights in [1, 5], plus a random bisection of it."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    g = PartGraph.from_edges(
+        n,
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        edge_weights=np.array(
+            draw(st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges))),
+            dtype=np.int64,
+        ),
+        node_weights=np.array(
+            draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.int64
+        ),
+    )
+    side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, side
+
+
+def _window(g, target_weight, imbalance):
+    """The side-1 weight window ``fm_refine`` keeps every move inside."""
+    max_vw = int(g.vwgt.max())
+    lo = max(0, int(target_weight * (1 - imbalance)) - max_vw)
+    hi = min(g.total_vertex_weight, int(target_weight * (1 + imbalance)) + max_vw)
+    return lo, hi
+
+
+class TestRefineAndMatchingProperties:
+    @given(weighted_graphs(), st.floats(0.0, 1.0), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_fm_refine_never_increases_cut(self, graph_side, frac, imbalance):
+        g, side = graph_side
+        target = int(frac * g.total_vertex_weight)
+        refined = fm_refine(g, side, target, imbalance=imbalance)
+        assert bisection_cut(g, refined) <= bisection_cut(g, side)
+
+    @given(weighted_graphs(), st.floats(0.0, 1.0))
+    def test_fm_refine_never_mutates_input(self, graph_side, frac):
+        g, side = graph_side
+        before = [a.copy() for a in (side, g.xadj, g.adjncy, g.adjwgt, g.vwgt)]
+        fm_refine(g, side, int(frac * g.total_vertex_weight))
+        after = (side, g.xadj, g.adjncy, g.adjwgt, g.vwgt)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @given(weighted_graphs(), st.integers(-8, 8), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_fm_refine_stays_inside_balance_window(self, graph_side, offset, imbalance):
+        g, side = graph_side
+        start = int(g.vwgt[side].sum())
+        target = min(max(start + offset, 0), g.total_vertex_weight)
+        lo, hi = _window(g, target, imbalance)
+        assume(lo <= start <= hi)
+        refined = fm_refine(g, side, target, imbalance=imbalance)
+        assert lo <= int(g.vwgt[refined].sum()) <= hi
+
+    @given(weighted_graphs(), st.integers(0, 2**31 - 1))
+    def test_matching_is_an_involution_on_edges(self, graph_side, seed):
+        g, _ = graph_side
+        match = heavy_edge_matching(g, as_rng(seed))
+        assert match.dtype == np.int64
+        assert np.array_equal(match[match], np.arange(g.n))
+        for v in np.flatnonzero(match != np.arange(g.n)).tolist():
+            assert match[v] in g.neighbors(v)
+
+    @given(weighted_graphs())
+    def test_subgraph_is_the_from_edges_induced_graph(self, graph_side):
+        """Filtering the CSR gives, array for array, the graph
+        ``from_edges`` builds from the induced edge list."""
+        from repro.partition.multilevel import _subgraph
+
+        g, keep = graph_side
+        remap = np.cumsum(keep) - 1
+        induced = [
+            (remap[u], remap[v], w)
+            for u, v, w in zip(g.rows.tolist(), g.adjncy.tolist(), g.adjwgt.tolist())
+            if keep[u] and keep[v] and u < v
+        ]
+        expected = PartGraph.from_edges(
+            int(keep.sum()),
+            np.array([(u, v) for u, v, _ in induced], dtype=np.int64).reshape(-1, 2),
+            edge_weights=np.array([w for _, _, w in induced], dtype=np.int64),
+            node_weights=g.vwgt[keep],
+        )
+        sub = _subgraph(g, keep)
+        assert sub.n == expected.n
+        for name in ("xadj", "adjncy", "adjwgt", "vwgt", "rows"):
+            assert np.array_equal(getattr(sub, name), getattr(expected, name)), name
+
+    @given(weighted_graphs())
+    def test_rows_index_every_csr_entry(self, graph_side):
+        g, _ = graph_side
+        expected = np.repeat(np.arange(g.n), np.diff(g.xadj))
+        assert np.array_equal(g.rows, expected)
+        direct = PartGraph(g.n, g.xadj, g.adjncy, g.adjwgt, g.vwgt)
+        assert np.array_equal(direct.rows, expected)
+
+    @given(weighted_graphs())
+    def test_gains_match_a_per_edge_loop(self, graph_side):
+        from repro.partition.refine import _gains
+
+        g, side = graph_side
+        expected = np.zeros(g.n, dtype=np.int64)
+        for u, v, w in zip(g.rows.tolist(), g.adjncy.tolist(), g.adjwgt.tolist()):
+            expected[u] += w if side[u] != side[v] else -w
+        gains = _gains(g, side)
+        assert gains.dtype == np.int64
+        assert np.array_equal(gains, expected)
 
 
 class TestMatching:
